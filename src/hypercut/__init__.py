@@ -7,11 +7,10 @@ inverse power method, and thresholds the eigenvector at the NCC-optimal
 level set.
 """
 
-from .baselines import (RwLaplacian, build_rw_laplacian, cardinality_variant,
-                        rw_cluster)
+from .baselines import RwLaplacian, build_rw_laplacian, cardinality_variant
 from .core import (EdvwHypergraph, GKind, HKind, Partition,
                    SubmodularWeightSpec, cut_weight, evaluate_partition,
-                   lovasz_extension, ncc, r1_functional, submodular_weight,
+                   lovasz_extension, r1_functional, submodular_weight,
                    theta_and_degree, volume, weighted_median, with_degree_mu)
 from .errors import (DataIngestError, DisconnectedGraphError,
                      HypergraphFormatError, SolverConvergenceError,
@@ -36,8 +35,8 @@ __all__ = [
     "clustering_error", "cut_weight", "evaluate_partition", "exact_h2",
     "export_matrix_market", "graph_cut", "graph_r1", "graph_total_variation",
     "inner_tv_solve", "ipm_second_eigvec", "lovasz_extension",
-    "median_subgradient", "ncc", "optimal_threshold", "r1_functional",
-    "random_instance", "read_hypergraph", "rw_cluster", "run_method",
+    "median_subgradient", "optimal_threshold", "r1_functional",
+    "random_instance", "read_hypergraph", "run_method",
     "second_eigvec_2lap", "submodular_weight", "theta_and_degree", "volume",
     "weighted_median", "with_degree_mu", "write_hypergraph",
 ]

@@ -41,15 +41,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outer-tol", type=float, default=1e-6)
     p.add_argument("--inner-max", type=int, default=2000)
     p.add_argument("--inner-tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread workers for independent restarts")
 
 
 def _cfg_from_args(args) -> IpmConfig:
     return IpmConfig(max_outer_iters=args.max_outer, outer_tol=args.outer_tol,
                      inner_max_iters=args.inner_max, inner_tol=args.inner_tol,
-                     n_restarts=args.restarts, rng_seed=args.seed,
-                     workers=args.workers)
+                     n_restarts=args.restarts, rng_seed=args.seed)
 
 
 def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:

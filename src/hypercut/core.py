@@ -347,25 +347,9 @@ def volume(h: EdvwHypergraph, subset) -> float:
     return float(h.mu @ mask)
 
 
-def ncc(h: EdvwHypergraph, spec: SubmodularWeightSpec, subset) -> float:
-    """Normalized Cheeger cut: cut(S) / min(vol(S), vol(complement))."""
-    mask = as_subset_mask(h.n_vertices, subset)
-    if not mask.any() or mask.all():
-        raise ValueError("NCC is undefined for the empty or full vertex set")
-    cw = cut_weight(h, spec, mask)
-    vs = float(h.mu @ mask)
-    vsb = float(h.mu @ ~mask)
-    return cw / min(vs, vsb)
-
-
 def weighted_median(x, mu) -> float:
     """Smallest c minimizing sum_v mu_v |x_v - c| (the mu-weighted median)."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    cum = np.cumsum(mu[order])
-    i = int(np.searchsorted(cum, cum[-1] / 2.0))
-    return float(x[order[i]])
+    return weighted_median_interval(x, mu)[0]
 
 
 def weighted_median_interval(x, mu):

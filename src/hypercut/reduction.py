@@ -122,13 +122,6 @@ def graph_cut(g: WeightedGraph, subset) -> float:
     return float(w @ (mask[u] != mask[v]))
 
 
-def graph_volume(g: WeightedGraph, subset) -> float:
-    mask = as_subset_mask(g.n_vertices, subset)
-    if not mask.any():
-        raise ValueError("volume of the empty set is undefined here")
-    return float(g.mu @ mask)
-
-
 def export_matrix_market(g: WeightedGraph, path) -> None:
     """Write the adjacency as a symmetric coordinate matrix-market file."""
     scipy.io.mmwrite(str(path), sp.coo_matrix(g.adjacency),

@@ -118,8 +118,10 @@ def run_method(h: EdvwHypergraph, labels, method: str,
         iterations, converged, restart = eig.iters, eig.converged, eig.restart_index
     else:
         rwl = build_rw_laplacian(h)
-        y = second_eigvec_2lap(rwl.L, nullspace=np.sqrt(rwl.pi),
-                               rng_seed=cfg.rng_seed)
+        y = second_eigvec_2lap(rwl.laplacian_operator(),
+                               nullspace=np.sqrt(rwl.pi), rng_seed=cfg.rng_seed)
+        # back from the sqrt(pi)-scaled space: the row normalization of
+        # two-way spectral clustering
         x = y / np.sqrt(rwl.pi)
         lam = r1_functional(h, spec, x)
         iterations, converged, restart = 0, True, 0

@@ -27,7 +27,6 @@ method onto exact cuts quickly.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,9 @@ logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
 
+#: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
+DENSE_CAP = 1500
+
 
 @dataclass(frozen=True)
 class IpmConfig:
@@ -56,7 +58,6 @@ class IpmConfig:
     inner_tol: float = 1e-8          # sup-norm stall tolerance on edge duals
     n_restarts: int = 5              # first run is spectrally initialized
     rng_seed: int = 0
-    workers: int = 1                 # restarts are independent; >1 runs them in threads
 
     def __post_init__(self):
         if self.max_outer_iters < 1 or self.inner_max_iters < 1:
@@ -357,49 +358,35 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def second_eigvec_2lap(lap, *, nullspace=None, rng_seed: int = 0,
-                       dense_cutoff: int = 1500,
+def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0,
                        residual_tol: float = 1e-8) -> np.ndarray:
     """Eigenvector of the second-smallest eigenvalue of a symmetric PSD operator.
 
-    For problems up to `dense_cutoff` the operator is materialized and solved
-    exactly; larger problems use LOBPCG deflated against the known kernel
-    direction when one is supplied, falling back to Lanczos otherwise.  The
-    residual contract ||L x - lam x|| <= residual_tol * ||L|| is verified and
-    violated convergence raises SolverConvergenceError with diagnostics.  A
-    numerically zero second eigenvalue signals a disconnected operator.
+    `lap` is an ndarray, a sparse matrix or a LinearOperator whose kernel is
+    spanned by `nullspace`.  Up to DENSE_CAP vertices it is materialized and
+    solved exactly; larger problems use LOBPCG deflated against `nullspace`,
+    with the residual contract ||L x - lam x|| <= residual_tol * ||L||
+    verified (a violation raises SolverConvergenceError with diagnostics).
+    A numerically zero second eigenvalue signals a disconnected operator.
     """
     n = lap.shape[0]
-    is_op = isinstance(lap, spla.LinearOperator)
-
-    if n <= dense_cutoff:
-        if is_op:
-            dense = lap @ np.eye(n)
-        elif sp.issparse(lap):
-            dense = lap.toarray()
-        else:
-            dense = np.asarray(lap, dtype=np.float64)
-        evals, evecs = np.linalg.eigh(dense)
+    if n <= DENSE_CAP:
+        evals, evecs = np.linalg.eigh(lap @ np.eye(n))
         scale = max(float(np.abs(evals).max()), _TINY)
         if evals[1] <= 1e-10 * scale:
             raise DisconnectedGraphError(
                 "second eigenvalue is numerically zero; operator is disconnected")
         return _canonical_sign(evecs[:, 1])
 
-    lop = lap if is_op else spla.aslinearoperator(lap)
+    lop = spla.aslinearoperator(lap)
     norm_est = max(_operator_norm_estimate(lop, n), _TINY)
-    if nullspace is not None:
-        y = np.asarray(nullspace, dtype=np.float64).reshape(n, 1)
-        y = y / np.linalg.norm(y)
-        rng = np.random.default_rng(rng_seed)
-        x0 = rng.standard_normal((n, 1))
-        evals, evecs = spla.lobpcg(lop, x0, Y=y, largest=False,
-                                   tol=1e-10 * norm_est, maxiter=2000)
-        lam, x = float(evals[0]), evecs[:, 0]
-    else:
-        evals, evecs = spla.eigsh(lop, k=2, which="SA", tol=1e-10,
-                                  ncv=min(n, 64), maxiter=50 * n)
-        lam, x = float(evals[1]), evecs[:, 1]
+    y = np.asarray(nullspace, dtype=np.float64).reshape(n, 1)
+    y = y / np.linalg.norm(y)
+    rng = np.random.default_rng(rng_seed)
+    x0 = rng.standard_normal((n, 1))
+    evals, evecs = spla.lobpcg(lop, x0, Y=y, largest=False,
+                               tol=1e-10 * norm_est, maxiter=2000)
+    lam, x = float(evals[0]), evecs[:, 0]
 
     x = x / np.linalg.norm(x)
     residual = float(np.linalg.norm(lop @ x - lam * x))
@@ -515,12 +502,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
             x0 = rng.standard_normal(g.n_vertices)
         inits.append(x0)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(
-                lambda x0: _ipm_run(g, x0, cfg, lipschitz), inits))
-    else:
-        outcomes = [_ipm_run(g, x0, cfg, lipschitz) for x0 in inits]
+    outcomes = [_ipm_run(g, x0, cfg, lipschitz) for x0 in inits]
 
     best = min(range(len(outcomes)),
                key=lambda i: (outcomes[i].partition.ncc, i))

@@ -3,18 +3,28 @@
 import numpy as np
 import pytest
 
+import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       build_rw_laplacian, cardinality_variant, exact_h2,
-                      rw_cluster, submodular_weight, with_degree_mu)
+                      run_method, submodular_weight, with_degree_mu)
 from hypercut.oracle import random_instance
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
 
+def transition(rwl) -> np.ndarray:
+    return (rwl.p_ve @ rwl.p_ev).toarray()
+
+
+def canonical(partition) -> bytes:
+    side = np.asarray(partition, dtype=bool)
+    return (side if side[0] else ~side).tobytes()
+
+
 def test_rw_transition_running_example(h0):
     rwl = build_rw_laplacian(h0)
     expected_row = np.array([1.0, 2.0, 3.0]) / 6.0
-    p = rwl.P
+    p = transition(rwl)
     for row in p:
         assert np.allclose(row, expected_row, atol=1e-15)
     assert np.allclose(rwl.pi, expected_row, atol=1e-12)
@@ -24,10 +34,12 @@ def test_rw_rows_stochastic_and_pi_fixed_point():
     for seed in range(8):
         h = random_instance(seed, n=9, m=6)
         rwl = build_rw_laplacian(h)
-        p = rwl.P
+        p = transition(rwl)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.max(np.abs(rwl.pi @ p - rwl.pi)) <= 1e-10
-        lap = rwl.L
+        op = rwl.laplacian_operator()
+        lap = op @ np.eye(9)  # a block product
+        assert np.allclose(op @ np.eye(9)[:, 3], lap[:, 3], atol=1e-14)
         assert np.max(np.abs(lap - lap.T)) <= 1e-12
         evals = np.linalg.eigvalsh(lap)
         assert evals[0] >= -1e-10  # PSD
@@ -44,18 +56,18 @@ def test_rw_diagnostics_serializable(h0):
 def test_rw_uniform_for_trivial_edvws():
     h = EdvwHypergraph(4, [[0, 1, 2, 3]], [[1.0] * 4], [2.0])
     rwl = build_rw_laplacian(h)
-    assert np.allclose(rwl.P, 0.25, atol=1e-15)
+    assert np.allclose(transition(rwl), 0.25, atol=1e-15)
     assert np.allclose(rwl.pi, 0.25, atol=1e-12)
 
 
 def test_rw_cluster_running_example(h0):
-    part = rw_cluster(h0)
+    report = run_method(h0, None, "rw-2lap")
     h2, _ = exact_h2(with_degree_mu(h0, CLIQUE), CLIQUE)
-    assert part.ncc >= h2 - 1e-9
+    assert report.ncc >= h2 - 1e-9
     # deterministic: identical partitions on repeated runs
-    again = rw_cluster(h0)
-    assert part.canonical_key() == again.canonical_key()
-    assert part.ncc == again.ncc
+    again = run_method(h0, None, "rw-2lap")
+    assert canonical(report.partition) == canonical(again.partition)
+    assert report.ncc == again.ncc
 
 
 def test_rw_cluster_recovers_planted_split():
@@ -66,14 +78,29 @@ def test_rw_cluster_recovers_planted_split():
     gams = [[1.0] * len(e) for e in edges]
     kaps = [5.0] * 6 + [0.05]
     h = EdvwHypergraph(8, edges, gams, kaps)
-    part = rw_cluster(h)
+    report = run_method(h, None, "rw-2lap")
     planted = np.zeros(8, bool)
     planted[:4] = True
     hd = with_degree_mu(h, CLIQUE)
     h2, argmin = exact_h2(hd, CLIQUE)
     assert argmin.canonical_key() == \
         (planted if planted[0] else ~planted).tobytes()
-    assert part.canonical_key() == argmin.canonical_key()
+    assert canonical(report.partition) == argmin.canonical_key()
+
+
+def test_rw_lobpcg_path_matches_dense_path(monkeypatch):
+    # above DENSE_CAP, LOBPCG applies the factored operator to (n, 1) blocks
+    for seed in range(3):
+        h = random_instance(seed, n=16, m=9)
+        labels = np.arange(16) % 2
+        dense = run_method(h, labels, "rw-2lap")
+        monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 4)
+        iterative = run_method(h, labels, "rw-2lap")
+        monkeypatch.undo()
+        assert iterative.partition == dense.partition
+        assert iterative.ncc == dense.ncc
+        assert iterative.error == dense.error
+        assert np.allclose(iterative.eigenvector, dense.eigenvector, atol=1e-6)
 
 
 def test_cardinality_variant_examples(h0):

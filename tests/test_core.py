@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
-                      cut_weight, evaluate_partition, lovasz_extension, ncc,
+                      cut_weight, evaluate_partition, lovasz_extension,
                       r1_functional, submodular_weight, theta_and_degree,
                       volume, weighted_median, with_degree_mu)
 from hypercut.core import weighted_median_interval
@@ -141,8 +141,10 @@ def test_theta_greedy_matches_exact_when_split_is_optimal(spec_clique):
 def test_volume_and_ncc_examples(h0, spec_clique):
     hd = with_degree_mu(h0, spec_clique)
     assert volume(hd, [0]) == 9.0
-    assert ncc(hd, spec_clique, [0]) == pytest.approx(5.0 / 9.0, rel=1e-15)
-    assert ncc(hd, spec_clique, [2]) == pytest.approx(1.0, rel=1e-15)
+    assert evaluate_partition(hd, spec_clique, [0]).ncc == \
+        pytest.approx(5.0 / 9.0, rel=1e-15)
+    assert evaluate_partition(hd, spec_clique, [2]).ncc == \
+        pytest.approx(1.0, rel=1e-15)
     rng = np.random.default_rng(0)
     for _ in range(10):
         mask = rng.random(3) < 0.5
@@ -151,7 +153,7 @@ def test_volume_and_ncc_examples(h0, spec_clique):
         assert volume(hd, mask) + volume(hd, ~mask) == \
             pytest.approx(volume(hd, np.ones(3, bool)), rel=1e-15)
     with pytest.raises(ValueError):
-        ncc(hd, spec_clique, [0, 1, 2])
+        evaluate_partition(hd, spec_clique, [0, 1, 2])
 
 
 def test_r1_examples(h0, spec_clique):

@@ -5,7 +5,7 @@ import pytest
 
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       clique_expand, evaluate_partition, exact_h2, graph_cut,
-                      ncc, random_instance, with_degree_mu)
+                      random_instance, with_degree_mu)
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
@@ -26,7 +26,7 @@ def test_exact_h2_finds_planted_split():
     planted = np.zeros(6, bool)
     planted[:3] = True
     assert part.canonical_key() == planted.tobytes()
-    assert h2 == pytest.approx(ncc(h, CLIQUE, planted), rel=1e-12)
+    assert h2 == pytest.approx(evaluate_partition(h, CLIQUE, planted).ncc, rel=1e-12)
 
 
 def test_exact_h2_minimality_and_self_consistency():
@@ -40,7 +40,7 @@ def test_exact_h2_minimality_and_self_consistency():
             mask = rng.random(8) < 0.5
             if not mask.any() or mask.all():
                 continue
-            assert h2 <= ncc(h, CLIQUE, mask) + 1e-12
+            assert h2 <= evaluate_partition(h, CLIQUE, mask).ncc + 1e-12
 
 
 def test_exact_h2_agrees_with_graph_enumeration():

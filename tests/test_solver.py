@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       SubmodularWeightSpec, WeightedGraph, clique_expand,
                       exact_h2, graph_r1, inner_tv_solve, ipm_second_eigvec,
@@ -143,22 +144,13 @@ def test_ipm_deterministic_given_seed(h0):
     assert a.lam == b.lam and a.restart_index == b.restart_index
 
 
-def test_ipm_parallel_restarts_match_sequential():
-    h = with_degree_mu(random_instance(3, n=10, m=6), CLIQUE)
-    g = expanded(h)
-    seq = ipm_second_eigvec(g, IpmConfig(rng_seed=7, workers=1))
-    par = ipm_second_eigvec(g, IpmConfig(rng_seed=7, workers=3))
-    assert np.array_equal(seq.x, par.x)
-    assert seq.restart_index == par.restart_index
-
-
 # ---------------------------------------------------------------------------
 # 2-Laplacian eigensolver
 # ---------------------------------------------------------------------------
 
 def test_second_eigvec_2lap_two_path():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    x = second_eigvec_2lap(lap)
+    x = second_eigvec_2lap(lap, nullspace=np.ones(2))
     assert np.allclose(np.abs(x), np.array([1.0, 1.0]) / np.sqrt(2.0))
     lam = float(x @ (lap @ x))
     assert lam == pytest.approx(2.0, rel=1e-12)
@@ -167,7 +159,7 @@ def test_second_eigvec_2lap_two_path():
 def test_second_eigvec_2lap_disconnected_raises():
     lap = np.kron(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(DisconnectedGraphError):
-        second_eigvec_2lap(lap)
+        second_eigvec_2lap(lap, nullspace=np.ones(4))
 
 
 def test_second_eigvec_2lap_orthogonal_to_kernel():
@@ -175,18 +167,19 @@ def test_second_eigvec_2lap_orthogonal_to_kernel():
     g = expanded(h)
     d = g.weighted_degrees
     lap = np.diag(d) - g.adjacency.toarray()
-    x = second_eigvec_2lap(lap)
+    x = second_eigvec_2lap(lap, nullspace=np.ones(12))
     assert abs(x @ np.ones(12)) <= 1e-8 * np.linalg.norm(x) * np.sqrt(12)
 
 
-def test_second_eigvec_2lap_iterative_path_matches_dense():
-    # force the LOBPCG branch with a tiny dense cutoff
+def test_second_eigvec_2lap_iterative_path_matches_dense(monkeypatch):
+    # force the LOBPCG branch with a tiny dense cap
     h = with_degree_mu(random_instance(2, n=14, m=8), CLIQUE)
     g = expanded(h)
     d = g.weighted_degrees
     lap = sp.csr_array(sp.diags_array(d) - g.adjacency)
-    dense = second_eigvec_2lap(lap)
-    iterative = second_eigvec_2lap(lap, nullspace=np.ones(14), dense_cutoff=2)
+    dense = second_eigvec_2lap(lap, nullspace=np.ones(14))
+    monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 2)
+    iterative = second_eigvec_2lap(lap, nullspace=np.ones(14))
     assert np.allclose(np.abs(dense), np.abs(iterative), atol=1e-6)
 
 
