@@ -126,11 +126,11 @@ class EdvwHypergraph:
         Size of the vertex set {0, ..., n_vertices - 1}.
     hyperedges : sequence of vertex-id sequences
         Each hyperedge must have at least two distinct members.
-    gamma : sequence of positive float sequences
+    gamma : sequence of positive finite float sequences
         gamma[i][j] is the importance of hyperedges[i][j]; off-members are
         implicitly zero.
-    kappa : positive floats, one per hyperedge.
-    mu : positive vertex weights; defaults to all ones.
+    kappa : positive finite floats, one per hyperedge.
+    mu : positive finite vertex weights; defaults to all ones.
     check_connected : bool
         The model assumes a connected hypergraph; tests and intermediate
         pipelines may disable the check.
@@ -164,8 +164,9 @@ class EdvwHypergraph:
                 raise ValueError(f"hyperedge {i} has out-of-range vertex ids")
             if np.unique(ms).size != ms.size:
                 raise ValueError(f"hyperedge {i} has duplicate members")
-            if not np.all(gs > 0.0):
-                raise ValueError(f"hyperedge {i} has non-positive gamma values")
+            if not np.all((gs > 0.0) & (gs < np.inf)):
+                raise ValueError(
+                    f"hyperedge {i} has non-positive or non-finite gamma values")
             order = np.argsort(ms)  # canonical member order
             ms, gs = ms[order], gs[order]
             ms.setflags(write=False)
@@ -176,14 +177,14 @@ class EdvwHypergraph:
         kap = _as_float_array(self.kappa, "kappa")
         if kap.size != len(members_out):
             raise ValueError("kappa length must match the number of hyperedges")
-        if not np.all(kap > 0.0):
-            raise ValueError("kappa values must be positive")
+        if not np.all((kap > 0.0) & (kap < np.inf)):
+            raise ValueError("kappa values must be positive and finite")
         mu = (np.ones(n) if self.mu is None
               else _as_float_array(self.mu, "mu").copy())
         if mu.size != n:
             raise ValueError("mu length must match n_vertices")
-        if not np.all(mu > 0.0):
-            raise ValueError("mu values must be positive")
+        if not np.all((mu > 0.0) & (mu < np.inf)):
+            raise ValueError("mu values must be positive and finite")
         kap = kap.copy()
         kap.setflags(write=False)
         mu.setflags(write=False)

@@ -95,6 +95,15 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _edvw_std(members, values, n_vertices: int, members_only: bool) -> float:
+    values = np.asarray(values, dtype=np.float64)
+    if members_only:
+        return float(values.std())
+    dense = np.zeros(n_vertices)
+    dense[np.asarray(members, dtype=np.int64)] = values
+    return float(dense.std())
+
+
 def kappa_from_std(members, values, n_vertices: int,
                    members_only: bool = False) -> float:
     """Hyperedge strength: population std of the EDVW vector.
@@ -103,13 +112,7 @@ def kappa_from_std(members, values, n_vertices: int,
     non-members; `members_only` restricts it to the members.  Floored at
     1e-12 so kappa stays positive for constant vectors.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if members_only:
-        std = float(values.std())
-    else:
-        dense = np.zeros(n_vertices)
-        dense[np.asarray(members, dtype=np.int64)] = values
-        std = float(dense.std())
+    std = _edvw_std(members, values, n_vertices, members_only)
     if std < KAPPA_FLOOR:
         logger.warning("constant EDVW vector; kappa floored at %g", KAPPA_FLOOR)
         return KAPPA_FLOOR
@@ -151,20 +154,28 @@ def _finalize_hypergraph(n_vertices, edges, gammas, labels,
         labels = labels[keep_mask]
         n_vertices = int(keep_mask.sum())
 
-    kappa = np.array([kappa_from_std(ms, gs, n_vertices,
-                                     members_only=kappa_members_only)
-                      for ms, gs in zip(edges, gammas)])
-    # record how far the literal all-vertex std rule sits from members-only
-    alt = np.array([kappa_from_std(ms, gs, n_vertices,
-                                   members_only=not kappa_members_only)
-                    for ms, gs in zip(edges, gammas)])
+    def floored_kappas(members_only):
+        std = np.array([_edvw_std(ms, gs, n_vertices, members_only)
+                        for ms, gs in zip(edges, gammas)])
+        low = std < KAPPA_FLOOR
+        return np.where(low, KAPPA_FLOOR, std), int(low.sum())
+
+    kappa, n_floored = floored_kappas(kappa_members_only)
+    if n_floored:
+        logger.warning("%d constant EDVW vectors; kappa floored at %g",
+                       n_floored, KAPPA_FLOOR)
+    # record how far the literal all-vertex std rule sits from members-only;
+    # that rule is not used, so its floors are counted but not logged
+    alt, n_alt_floored = floored_kappas(not kappa_members_only)
     provenance.update({
         "n_vertices": n_vertices,
         "n_hyperedges": len(edges),
         "dropped_degenerate_hyperedges": dropped,
         "n_components_before_restrict": n_comp,
         "kappa_rule": "members-only-std" if kappa_members_only else "all-vertex-std",
+        "kappa_floored": n_floored,
         "kappa_alt_rule_mean_ratio": float(np.mean(alt / kappa)),
+        "kappa_alt_rule_floored": n_alt_floored,
     })
     h = EdvwHypergraph(n_vertices, edges, gammas, kappa)
     return DatasetBuild(h, np.asarray(labels, dtype=np.int64), provenance)

@@ -109,8 +109,8 @@ def graph_total_variation(g: WeightedGraph, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size != g.n_vertices:
         raise ValueError("x length must match n_vertices")
-    u, v, w = g.edges
-    return float(w @ np.abs(x[u] - x[v]))
+    dx = g.incidence_matrix @ x
+    return float(np.einsum("i,i->", g.edges[2], np.abs(dx, out=dx)))
 
 
 def graph_cut(g: WeightedGraph, subset) -> float:
@@ -119,7 +119,7 @@ def graph_cut(g: WeightedGraph, subset) -> float:
     if not mask.any() or mask.all():
         raise ValueError("cut is undefined for the empty or full vertex set")
     u, v, w = g.edges
-    return float(w @ (mask[u] != mask[v]))
+    return float(w[mask[u] != mask[v]].sum())
 
 
 def export_matrix_market(g: WeightedGraph, path) -> None:

@@ -27,6 +27,9 @@ method onto exact cuts quickly.
 from __future__ import annotations
 
 import logging
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,15 +182,19 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, cfg: IpmConfig,
     previous outer iterate is returned unchanged whenever the candidate does
     not certify descent (non-positive objective), so the caller's descent
     contract can never be violated.
+
+    Every length-m operation in the loop releases the GIL and avoids
+    threaded BLAS (sparse products, ufuncs, reductions and einsum), so
+    restarts running on separate threads proceed in parallel.
     """
     n = g.n_vertices
     v = np.asarray(v, dtype=np.float64)
     x_prev = np.zeros(n) if x_prev is None else np.asarray(x_prev, dtype=np.float64)
-    eu, ev, w = g.edges
-    m = eu.size
+    w = g.edges[2]
+    m = w.size
 
     def objective(x: np.ndarray) -> float:
-        return float(w @ np.abs(x[eu] - x[ev]) - lam * (x @ v))
+        return graph_total_variation(g, x) - lam * float(x @ v)
 
     if lam <= 0.0 or m == 0:
         return InnerResult(x_prev.copy(), np.zeros(m), True,
@@ -196,6 +203,7 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, cfg: IpmConfig,
     target = lam * v
     step = 1.0 / (lipschitz if lipschitz is not None else tv_dual_lipschitz(g))
     incidence = g.incidence_matrix
+    incidence_t = incidence.T  # CSC view of the same arrays, nothing copied
     neg_w = -w
     beta = np.zeros(m) if beta0 is None else np.clip(beta0, -w, w)
     z = beta.copy()
@@ -206,19 +214,19 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, cfg: IpmConfig,
     scratch = np.empty(m)
 
     def dual_residual(duals: np.ndarray) -> np.ndarray:
-        r = np.bincount(eu, weights=duals, minlength=n)
-        r -= np.bincount(ev, weights=duals, minlength=n)
+        r = incidence_t @ duals
         r -= target
         return r
 
     for it in range(1, cfg.inner_max_iters + 1):
-        cand = incidence @ dual_residual(z)  # gradient of the dual objective
-        np.multiply(cand, -step, out=cand)
+        rs = dual_residual(z)
+        rs *= -step
+        cand = incidence @ rs                # -step * gradient of the dual
         cand += z
         np.clip(cand, neg_w, w, out=cand)    # cand is now the new dual point
         np.subtract(cand, beta, out=dbeta)
         np.subtract(z, cand, out=scratch)
-        if float(scratch @ dbeta) > 0.0:
+        if np.einsum("i,i->", scratch, dbeta) > 0.0:
             # adaptive restart: momentum points uphill
             t = 1.0
             z[:] = cand
@@ -227,8 +235,8 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, cfg: IpmConfig,
             np.multiply(dbeta, (t - 1.0) / t_new, out=scratch)
             np.add(cand, scratch, out=z)
             t = t_new
-        beta, cand = cand, beta  # reuse the old buffer next round
-        if float(np.max(np.abs(dbeta))) <= stall_tol:
+        beta = cand
+        if max(dbeta.max(), -dbeta.min()) <= stall_tol:
             converged = True
             break
         if it % 25 == 0:
@@ -473,13 +481,22 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
                        graph_threshold_partition(x, g))
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
 def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResult:
     """Multi-restart inverse power method for the graph 1-Laplacian.
 
     One restart starts from the 2-Laplacian spectral vector, the remainder
     from seeded random vectors; the restart whose final thresholded NCC is
     smallest wins (index order breaks ties).  R1 decreases monotonically
-    within every restart.
+    within every restart.  Restarts run concurrently on up to one thread per
+    usable CPU; the result does not depend on the thread count.
     """
     cfg = cfg or IpmConfig()
     ncomp, _ = connected_components(g.adjacency, directed=False)
@@ -502,7 +519,29 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
             x0 = rng.standard_normal(g.n_vertices)
         inits.append(x0)
 
-    outcomes = [_ipm_run(g, x0, cfg, lipschitz) for x0 in inits]
+    # cached_property is not thread-safe: fill the caches before the pool
+    g.edges, g.incidence_matrix, g.weighted_degrees
+    pending = queue.SimpleQueue()
+    for item in enumerate(inits):
+        pending.put(item)
+    outcomes = [None] * len(inits)
+
+    def drain():
+        while True:
+            try:
+                i, x0 = pending.get_nowait()
+            except queue.Empty:
+                return
+            outcomes[i] = _ipm_run(g, x0, cfg, lipschitz)
+
+    # this thread is one of the workers: each extra thread keeps a malloc
+    # arena as large as its FISTA buffers after the pool is gone
+    workers = min(cfg.n_restarts, _usable_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for fut in helpers:
+            fut.result()
 
     best = min(range(len(outcomes)),
                key=lambda i: (outcomes[i].partition.ncc, i))

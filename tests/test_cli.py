@@ -106,6 +106,12 @@ def test_cluster_missing_input_is_data_error(tmp_path):
     assert run(["cluster", "--input", tmp_path / "absent.hg"]) == 3
 
 
+def test_cluster_non_finite_kappa_is_data_error(tmp_path):
+    path = tmp_path / "inf.hg"
+    path.write_text("3 1\ninf 0:1.0 1:2.0 2:3.0\n")
+    assert run(["cluster", "--input", path]) == 3
+
+
 def test_unknown_method_is_usage_error(h0_file):
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--input", h0_file, "--method", "nope"])

@@ -43,6 +43,28 @@ def test_kappa_floor_on_constant_vector(caplog):
     assert any("floored" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("members_only", [False, True])
+def test_kappa_floors_counted_and_warned_once(caplog, members_only):
+    # alpha = 0 makes every EDVW vector constant on its members: the
+    # members-only rule floors every hyperedge, the all-vertex rule none
+    features = np.random.default_rng(5).uniform(0, 1, size=(40, 2))
+    labels = np.repeat([0, 1], 20)
+    with caplog.at_level("WARNING"):
+        build = build_covertype_from_table(
+            features, labels, BinningSpec(bins_per_feature=4), 0.0,
+            kappa_members_only=members_only)
+    m = build.hypergraph.n_hyperedges
+    floors = [r.getMessage() for r in caplog.records
+              if "floored" in r.getMessage()]
+    prov = build.provenance
+    if members_only:
+        assert (prov["kappa_floored"], prov["kappa_alt_rule_floored"]) == (m, 0)
+        assert floors == [f"{m} constant EDVW vectors; kappa floored at 1e-12"]
+    else:
+        assert (prov["kappa_floored"], prov["kappa_alt_rule_floored"]) == (0, m)
+        assert floors == []
+
+
 def test_kappa_members_only_switch():
     members, values = [0, 1], [1.0, 3.0]
     assert kappa_from_std(members, values, 4, members_only=True) == \

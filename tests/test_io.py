@@ -64,6 +64,18 @@ def test_parse_errors(tmp_path, text):
         read_hypergraph(path)
 
 
+@pytest.mark.parametrize("text", [
+    "3 1\ninf 0:1.0 1:2.0 2:3.0\n",        # infinite kappa
+    "3 1\n1.0 0:1.0 1:inf 2:3.0\n",        # infinite gamma
+    "3 1\n1.0 0:1.0 1:2.0 2:3.0\nmu 1.0 inf 1.0\n",  # infinite mu
+], ids=["kappa", "gamma", "mu"])
+def test_non_finite_weights_rejected(tmp_path, text):
+    path = tmp_path / "inf.hg"
+    path.write_text(text)
+    with pytest.raises(HypergraphFormatError, match="finite"):
+        read_hypergraph(path)
+
+
 def test_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,5 +1,7 @@
 """Inverse power method, inner TV subproblem, 2-Laplacian solver, thresholding."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -142,6 +144,37 @@ def test_ipm_deterministic_given_seed(h0):
     b = ipm_second_eigvec(g, IpmConfig(rng_seed=42))
     assert np.array_equal(a.x, b.x)
     assert a.lam == b.lam and a.restart_index == b.restart_index
+
+
+def test_ipm_restart_pool_matches_sequential(monkeypatch):
+    # restart 1 wins and is the slowest of the four, so restart order and
+    # completion order differ when they run side by side
+    h = with_degree_mu(random_instance(1, n=40, m=30), CLIQUE)
+    cfg = IpmConfig(n_restarts=4, rng_seed=7)
+    helpers = []
+
+    class RecordingPool(hypercut.solver.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            helpers[-1] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(hypercut.solver, "ThreadPoolExecutor", RecordingPool)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: cpus)
+            helpers.append(0)
+            sys.setswitchinterval(1e-6)  # interleave the restart threads often
+            results.append(ipm_second_eigvec(expanded(h), cfg))  # fresh caches
+    finally:
+        sys.setswitchinterval(interval)
+    assert helpers == [0, 3]  # the calling thread is the fourth worker
+    seq, par = results
+    assert seq.restart_index == 1
+    assert np.array_equal(seq.x, par.x)
+    assert (seq.lam, seq.iters, seq.restart_index, seq.trace) == \
+        (par.lam, par.iters, par.restart_index, par.trace)
 
 
 # ---------------------------------------------------------------------------
