@@ -70,10 +70,32 @@ class SubmodularWeightSpec:
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:  # a Python int beyond the float range
+        raise ValueError(f"{name} must be finite: {exc}") from exc
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _as_int64_array(values, name: str) -> np.ndarray:
+    """Integral values as int64; non-integral or out-of-int64 entries raise.
+
+    A plain int64 cast would truncate 2.5 to 2 and turn ids of 2**63 and more
+    into an OverflowError; here both fail the round-trip comparison.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iufO":
+        raise ValueError(f"{name} must be integers")
+    try:
+        with np.errstate(invalid="ignore"):  # out-of-range floats
+            out = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be integers within int64") from exc
+    if not np.array_equal(out, arr):
+        raise ValueError(f"{name} must be integers within int64")
+    return out
 
 
 def as_subset_mask(n_vertices: int, subset) -> np.ndarray:
@@ -144,7 +166,10 @@ class EdvwHypergraph:
     check_connected: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        n = int(self.n_vertices)
+        n = _as_int64_array(self.n_vertices, "n_vertices")
+        if n.ndim != 0:
+            raise ValueError("n_vertices must be a single integer")
+        n = int(n)
         if n < 2:
             raise ValueError("need at least two vertices")
         if len(self.hyperedges) != len(self.gamma):
@@ -154,7 +179,7 @@ class EdvwHypergraph:
 
         members_out, gamma_out = [], []
         for i, (members, gvals) in enumerate(zip(self.hyperedges, self.gamma)):
-            ms = np.asarray(members, dtype=np.int64)
+            ms = _as_int64_array(members, f"hyperedge {i} members")
             gs = _as_float_array(gvals, f"gamma[{i}]")
             if ms.ndim != 1 or ms.size != gs.size:
                 raise ValueError(f"hyperedge {i}: members/gamma length mismatch")
@@ -174,6 +199,11 @@ class EdvwHypergraph:
             members_out.append(ms)
             gamma_out.append(gs)
 
+        if self.check_connected and n > sum(ms.size for ms in members_out):
+            # refused before any length-n allocation: n may be huge
+            raise DisconnectedGraphError(
+                f"n_vertices {n} exceeds the total hyperedge membership, "
+                "so some vertex lies in no hyperedge")
         kap = _as_float_array(self.kappa, "kappa")
         if kap.size != len(members_out):
             raise ValueError("kappa length must match the number of hyperedges")
@@ -218,21 +248,17 @@ class EdvwHypergraph:
 
     @cached_property
     def incidence(self) -> tuple:
-        """Per-vertex (hyperedge ids, gamma values) arrays."""
-        eids = [[] for _ in range(self.n_vertices)]
-        gvals = [[] for _ in range(self.n_vertices)]
-        for e, (ms, gs) in enumerate(zip(self.hyperedges, self.gamma)):
-            for v, g in zip(ms, gs):
-                eids[v].append(e)
-                gvals[v].append(g)
-        out = []
-        for v in range(self.n_vertices):
-            ea = np.asarray(eids[v], dtype=np.int64)
-            ga = np.asarray(gvals[v], dtype=np.float64)
-            ea.setflags(write=False)
-            ga.setflags(write=False)
-            out.append((ea, ga))
-        return tuple(out)
+        """Per-vertex (hyperedge ids, gamma values) arrays, ids ascending."""
+        members = np.concatenate(self.hyperedges)
+        edge_of = np.repeat(np.arange(self.n_hyperedges),
+                            [ms.size for ms in self.hyperedges])
+        order = np.argsort(members, kind="stable")  # keeps hyperedge order
+        bounds = np.cumsum(np.bincount(members, minlength=self.n_vertices))[:-1]
+        eids = np.split(edge_of[order], bounds)
+        gvals = np.split(np.concatenate(self.gamma)[order], bounds)
+        for a in eids + gvals:
+            a.setflags(write=False)
+        return tuple(zip(eids, gvals))
 
     def with_mu(self, mu) -> "EdvwHypergraph":
         """Return a copy with replaced vertex weights."""

@@ -22,6 +22,13 @@ vector of their own best threshold cut; whenever that indicator has a smaller
 R1 value (it never has a larger NCC, by the thresholding bound) it becomes
 the next iterate.  This keeps the descent guarantee intact and snaps the
 method onto exact cuts quickly.
+
+After such a snap the previous iterate is optimal for the next inner problem
+far more often than not, and FISTA can only approach that answer
+sublinearly.  TV(u) - lam * <u, v> is the Lovász extension of the set
+function F(A) = cut(A) - lam * v(A) (Hein & Setzer, NIPS 2011), so descent
+exists exactly when min_A F(A) < 0, which one s-t max flow decides; the
+inner solve is skipped whenever the flow rules descent out.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .core import (EdvwHypergraph, Partition, SubmodularWeightSpec,
                    evaluate_partition, weighted_median,
@@ -49,6 +56,9 @@ _TINY = 1e-300
 
 #: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
 DENSE_CAP = 1500
+
+#: largest capacity scipy's max flow accepts; it returns flow 0 above it
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -379,7 +389,8 @@ def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0,
     """
     n = lap.shape[0]
     if n <= DENSE_CAP:
-        evals, evecs = np.linalg.eigh(lap @ np.eye(n))
+        dense = lap.toarray() if sp.issparse(lap) else lap @ np.eye(n)
+        evals, evecs = np.linalg.eigh(dense)
         scale = max(float(np.abs(evals).max()), _TINY)
         if evals[1] <= 1e-10 * scale:
             raise DisconnectedGraphError(
@@ -419,6 +430,68 @@ def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _FlowPattern:
+    """Arc layout of the s-t network behind `_cut_descent_ruled_out`.
+
+    Vertices 0..n-1 keep their ids, the source is n and the sink n + 1.  Row
+    v lists v's graph arcs in adjacency order followed by its sink arc; the
+    source row lists one arc per vertex.  Unused arcs get capacity zero, so
+    every check fills a data array of the same layout.  Restart threads share
+    one pattern; scipy reads it without writing but refuses read-only arrays.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    graph_slots: np.ndarray   # data positions of the adjacency entries
+    sink_slots: np.ndarray    # data position of arc v -> sink, per vertex
+
+    @classmethod
+    def of(cls, g: WeightedGraph) -> "_FlowPattern":
+        n = g.n_vertices
+        adj = g.adjacency
+        nnz = int(adj.indptr[-1])
+        shift = np.arange(n + 1)
+        indptr = np.concatenate([adj.indptr + shift,
+                                 [nnz + 2 * n] * 2]).astype(np.int32)
+        sink_slots = indptr[1:n + 1] - 1
+        graph_slots = np.arange(nnz) + np.repeat(shift[:n], np.diff(adj.indptr))
+        indices = np.empty(nnz + 2 * n, dtype=np.int32)
+        indices[graph_slots] = adj.indices
+        indices[sink_slots] = n + 1
+        indices[nnz + n:] = np.arange(n)
+        return cls(indptr, indices, graph_slots, sink_slots)
+
+
+def _cut_descent_ruled_out(g: WeightedGraph, pattern: _FlowPattern,
+                           v: np.ndarray, lam: float) -> bool:
+    """True when one max flow shows min_A cut(A) - lam * v(A) >= 0.
+
+    v sums to zero, so F(A) = cut(A) - lam * v(A) vanishes on the empty and
+    the full set, and its Lovász extension TV(u) - lam * <u, v> is the inner
+    objective: no u has a negative inner objective exactly when min F >= 0.
+    The network carries the graph arcs both ways, an arc source -> i of
+    capacity lam * v_i where v_i > 0 and i -> sink of capacity -lam * v_i
+    where v_i < 0; its minimum cut equals sum_{v_i > 0} lam * v_i + min F.
+    Capacities are scaled to integers and floored, which can only lower the
+    flow, so the test allows one unit per arc.  A graph arc and its reverse
+    share one residual capacity in scipy, so their sum must fit in int32 too.
+    """
+    n = g.n_vertices
+    w = g.adjacency.data
+    target = lam * v
+    scale = _INT32_MAX / max(2.0 * float(w.max()), float(np.abs(target).max()))
+    data = np.empty(pattern.indices.size, dtype=np.int32)
+    data[pattern.graph_slots] = w * scale   # non-negative: the cast floors
+    pos = np.maximum(target, 0.0)
+    data[pattern.sink_slots] = np.maximum(-target, 0.0) * scale
+    data[-n:] = pos * scale
+    net = sp.csr_array((data, pattern.indices, pattern.indptr),
+                       shape=(n + 2, n + 2))
+    flow = maximum_flow(net, n, n + 1).flow_value
+    return flow / scale - float(pos.sum()) >= -(data.size + 1) / scale
+
+
+@dataclass(frozen=True, eq=False)
 class _RunOutcome:
     x: np.ndarray
     lam: float
@@ -429,7 +502,7 @@ class _RunOutcome:
 
 
 def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
-             lipschitz: float) -> _RunOutcome:
+             lipschitz: float, pattern: _FlowPattern) -> _RunOutcome:
     mu = g.mu
     x = _center_normalize(x0, mu)
     if x is None:
@@ -439,10 +512,15 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
     trace = [IpmIterate(lam, part.ncc)]
     beta = None
     converged = False
+    snapped = False
     iters = 0
     for k in range(cfg.max_outer_iters):
         iters = k + 1
         v = median_subgradient(x, mu)
+        if snapped and _cut_descent_ruled_out(g, pattern, v, lam):
+            # the inner solve could only return x itself
+            converged = True
+            break
         inner = inner_tv_solve(g, v, lam, cfg, x_prev=x, beta0=beta,
                                lipschitz=lipschitz)
         beta = inner.beta
@@ -460,7 +538,8 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
         # by more than the thresholding bound allows
         indicator = _center_normalize(part_cand.side_of.astype(np.float64), mu)
         lam_ind = graph_r1(g, indicator) if indicator is not None else np.inf
-        if lam_ind < lam_cand:
+        snapped = lam_ind < lam_cand
+        if snapped:
             nxt, lam_next = indicator, lam_ind
         else:
             nxt, lam_next = cand, lam_cand
@@ -521,6 +600,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
 
     # cached_property is not thread-safe: fill the caches before the pool
     g.edges, g.incidence_matrix, g.weighted_degrees
+    pattern = _FlowPattern.of(g)
     pending = queue.SimpleQueue()
     for item in enumerate(inits):
         pending.put(item)
@@ -532,7 +612,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
                 i, x0 = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, cfg, lipschitz)
+            outcomes[i] = _ipm_run(g, x0, cfg, lipschitz, pattern)
 
     # this thread is one of the workers: each extra thread keeps a malloc
     # arena as large as its FISTA buffers after the pool is gone

@@ -112,6 +112,16 @@ def test_cluster_non_finite_kappa_is_data_error(tmp_path):
     assert run(["cluster", "--input", path]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "3 1\n1.0 0:1.0 1:2.0 9223372036854775808:3.0\n",  # id 2**63
+    "1000000000000 1\n1.0 0:1.0 1:2.0\n",              # 10**12 vertices
+], ids=["id-beyond-int64", "vertices-in-no-hyperedge"])
+def test_cluster_bad_vertex_ids_and_counts_are_data_errors(tmp_path, text):
+    path = tmp_path / "bad.hg"
+    path.write_text(text)
+    assert run(["cluster", "--input", path]) == 3
+
+
 def test_unknown_method_is_usage_error(h0_file):
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--input", h0_file, "--method", "nope"])

@@ -33,6 +33,16 @@ def test_rejects_bad_inputs():
         EdvwHypergraph(3, [[0, 0]], [[1.0, 1.0]], [1.0])   # duplicate member
     with pytest.raises(ValueError):
         EdvwHypergraph(3, [[0, 1]], [[1.0, 1.0]], [1.0], [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError):
+        EdvwHypergraph(2.5, [[0, 1]], [[1.0, 1.0]], [1.0])  # fractional count
+    with pytest.raises(ValueError):
+        EdvwHypergraph(2, [[0.5, 1]], [[1.0, 1.0]], [1.0])  # fractional id
+    with pytest.raises(ValueError):
+        EdvwHypergraph(3, [[0, 2 ** 63]], [[1.0, 1.0]], [1.0])  # id past int64
+    with pytest.raises(ValueError):
+        EdvwHypergraph(2 ** 64, [[0, 1]], [[1.0, 1.0]], [1.0])  # count past int64
+    h = EdvwHypergraph(3.0, [[0.0, np.uint64(1), 2]], [[1.0, 1.0, 1.0]], [1.0])
+    assert h.n_vertices == 3 and h.hyperedges[0].dtype == np.int64
 
 
 def test_rejects_disconnected_unless_asked():
@@ -41,6 +51,28 @@ def test_rejects_disconnected_unless_asked():
         EdvwHypergraph(4, edges, gams, kap)
     h = EdvwHypergraph(4, edges, gams, kap, check_connected=False)
     assert h.n_hyperedges == 2
+    # a vertex count above the membership count is refused before any
+    # length-n allocation
+    with pytest.raises(DisconnectedGraphError, match="no hyperedge"):
+        EdvwHypergraph(10 ** 12, edges, gams, kap)
+
+
+def test_incidence_matches_loop_reference():
+    for seed in range(8):
+        h = random_instance(seed, n=12, m=9)
+        if seed == 0:  # vertices 3 and 4 lie in no hyperedge
+            h = EdvwHypergraph(5, [[0, 1], [2, 1]], [[1.0, 2.0], [3.0, 4.0]],
+                               [1.0, 1.0], check_connected=False)
+        eids = [[] for _ in range(h.n_vertices)]
+        gvals = [[] for _ in range(h.n_vertices)]
+        for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
+            for v, g in zip(ms, gs):
+                eids[v].append(e)
+                gvals[v].append(g)
+        assert len(h.incidence) == h.n_vertices
+        for (ea, ga), er, gr in zip(h.incidence, eids, gvals):
+            assert ea.dtype == np.int64 and ga.dtype == np.float64
+            assert ea.tolist() == er and ga.tolist() == gr
 
 
 def test_members_are_canonically_sorted():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypercut import read_hypergraph, with_degree_mu, write_hypergraph
 from hypercut.core import GKind, HKind, SubmodularWeightSpec
 from hypercut.errors import HypergraphFormatError
+from hypercut.io import _parse_text, from_json_dict
 from hypercut.oracle import random_instance
 
 
@@ -89,3 +92,78 @@ def test_bad_json(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(HypergraphFormatError):
         read_hypergraph(tmp_path / "absent.hg")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input may only raise HypergraphFormatError
+# ---------------------------------------------------------------------------
+
+BIG = 2 ** 70
+small_ints = st.integers(-2, 12)
+ints = small_ints | st.integers(-BIG, BIG)
+numbers = ints | st.floats() | st.floats(-1.0, 12.0)
+
+int_tokens = ints.map(str)
+float_tokens = st.floats().map(repr) | int_tokens
+junk = st.text(alphabet=" :#\n0123456789.-+eainfmu", max_size=12)
+entry = st.tuples(int_tokens | junk, float_tokens | junk).map(":".join)
+edge_line = st.tuples(float_tokens, st.lists(entry, max_size=5)).map(
+    lambda t: " ".join([t[0], *t[1]]))
+mu_line = st.lists(float_tokens, max_size=6).map(
+    lambda t: " ".join(["mu", *t]))
+text_docs = st.tuples(
+    st.tuples(int_tokens, int_tokens).map(" ".join) | junk,
+    st.lists(edge_line | junk, max_size=5),
+    st.lists(mu_line | junk, max_size=2),
+).map(lambda t: "\n".join([t[0], *t[1], *t[2]]))
+
+
+@given(text_docs | st.text(max_size=40))
+@example("3 1\n1.0 0:1.0 1:1.0 9223372036854775808:1.0\n")  # id 2**63
+@example("1000000000000 1\n1.0 0:1.0 1:1.0\n")  # vertices in no hyperedge
+def test_text_reader_raises_only_format_errors(text):
+    try:
+        _parse_text(text, check_connected=True)
+    except HypergraphFormatError:
+        pass
+
+
+json_leaves = st.none() | st.booleans() | numbers | st.text(max_size=4)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+json_edges = st.fixed_dictionaries({
+    "kappa": numbers,
+    "members": st.lists(small_ints | numbers, max_size=5),
+    "gamma": st.lists(numbers, max_size=5),
+})
+json_docs = st.fixed_dictionaries(
+    {"n_vertices": small_ints | numbers,
+     "hyperedges": st.lists(json_edges | json_values, max_size=4)},
+    optional={"mu": st.none() | st.lists(numbers, max_size=8) | json_values})
+
+
+def json_doc(n, *members):
+    return {"n_vertices": n,
+            "hyperedges": [{"kappa": 1.0, "members": list(ms),
+                            "gamma": [1.0] * len(ms)} for ms in members]}
+
+
+@given(json_docs | json_values)
+@example(json_doc(2.5, [0, 1]))
+@example(json_doc(2, [0.5, 1]))
+@example(json_doc(3, [0, 1, 2 ** 63]))
+@example(json_doc(10 ** 12, [0, 1]))
+@example({"n_vertices": 2, "hyperedges": [
+    {"kappa": 1.0, "members": [0, 1], "gamma": [2 ** 1100, 1.0]}]})
+def test_json_reader_raises_only_format_errors(obj):
+    try:
+        h = from_json_dict(obj)
+    except HypergraphFormatError:
+        return
+    # whatever is accepted is kept as written, never truncated
+    assert h.n_vertices == obj["n_vertices"]
+    for ms, edge in zip(h.hyperedges, obj["hyperedges"]):
+        assert ms.tolist() == sorted(edge["members"])

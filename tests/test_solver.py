@@ -1,5 +1,6 @@
 """Inverse power method, inner TV subproblem, 2-Laplacian solver, thresholding."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       second_eigvec_2lap, with_degree_mu)
 from hypercut.errors import DisconnectedGraphError
 from hypercut.oracle import random_instance
-from hypercut.solver import graph_threshold_partition, tv_dual_lipschitz
+from hypercut.solver import (_center_normalize, _cut_descent_ruled_out,
+                             _FlowPattern, graph_threshold_partition,
+                             tv_dual_lipschitz)
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
@@ -115,6 +118,76 @@ def test_ipm_monotone_descent_and_threshold_dominance():
         assert res.lam <= lams[0] + 1e-10
 
 
+def random_connected_graph(rng, n: int) -> WeightedGraph:
+    dense = np.triu(rng.random((n, n)) < 0.5, 1).astype(float)
+    dense[np.arange(n - 1), np.arange(1, n)] = 1.0  # a path keeps it connected
+    if rng.random() < 0.5:
+        dense *= rng.lognormal(0.0, 1.0, (n, n))
+    else:  # a few arcs far heavier than the rest
+        dense *= rng.uniform(0.05, 1.0, (n, n)) ** 3
+    return WeightedGraph(n, sp.csr_array(dense + dense.T),
+                         rng.lognormal(0.0, 0.5, n))
+
+
+def test_cut_descent_certificate_matches_enumeration():
+    # min_A cut(A) - lam * v(A) over all 2^n subsets decides the same thing;
+    # case 198 routes flow both ways over the heaviest arc
+    ruled_out = 0
+    for case in range(480):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 11))
+        g = random_connected_graph(rng, n)
+        if case % 2 == 0:  # snapped iterate: the centered indicator of a cut
+            mask = rng.random(n) < 0.5
+            mask[0], mask[-1] = True, False
+            x = _center_normalize(mask.astype(float), g.mu)
+        else:
+            x = rng.standard_normal(n)
+        v = median_subgradient(x, g.mu)
+        lam = graph_r1(g, x)
+        if case % 3 == 0:
+            lam *= rng.uniform(0.1, 1.0)
+        subsets = np.array(list(itertools.product([False, True], repeat=n)))
+        u, w_, w = g.edges
+        f_min = ((subsets[:, u] != subsets[:, w_]) @ w
+                 - lam * (subsets @ v)).min()
+        magnitude = max(w.max(), np.abs(lam * v).max())
+        got = _cut_descent_ruled_out(g, _FlowPattern.of(g), v, lam)
+        assert got == (f_min >= -1e-9 * magnitude), (case, f_min / magnitude)
+        ruled_out += got
+    assert 60 <= ruled_out <= 420  # both answers are exercised
+
+
+def test_cut_descent_certificate_keeps_ipm_results(monkeypatch):
+    # skipping the inner solve the flow rules out changes nothing but work
+    calls = []
+    solve = hypercut.solver.inner_tv_solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_solve)
+    counts = {}
+    results = {}
+    for live in (True, False):
+        if not live:
+            monkeypatch.setattr(hypercut.solver, "_cut_descent_ruled_out",
+                                lambda *args: False)
+        calls.clear()
+        results[live] = []
+        for seed in range(12):  # the instances of the descent test above
+            h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
+            results[live].append(
+                ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed)))
+        counts[live] = len(calls)
+    for a, b in zip(results[True], results[False]):
+        assert np.array_equal(a.x, b.x)
+        assert (a.lam, a.iters, a.converged, a.restart_index, a.trace) == \
+            (b.lam, b.iters, b.converged, b.restart_index, b.trace)
+    assert counts[True] < counts[False]
+
+
 def test_ipm_rejects_disconnected():
     adj = sp.csr_array(np.array([[0.0, 1.0, 0.0, 0.0],
                                  [1.0, 0.0, 0.0, 0.0],
@@ -187,6 +260,14 @@ def test_second_eigvec_2lap_two_path():
     assert np.allclose(np.abs(x), np.array([1.0, 1.0]) / np.sqrt(2.0))
     lam = float(x @ (lap @ x))
     assert lam == pytest.approx(2.0, rel=1e-12)
+
+
+def test_second_eigvec_2lap_sparse_and_dense_inputs_agree():
+    g = expanded(with_degree_mu(random_instance(3, n=12, m=8), CLIQUE))
+    lap = sp.diags_array(g.weighted_degrees) - g.adjacency
+    ones = np.ones(g.n_vertices)
+    assert np.array_equal(second_eigvec_2lap(lap, nullspace=ones),
+                          second_eigvec_2lap(lap.toarray(), nullspace=ones))
 
 
 def test_second_eigvec_2lap_disconnected_raises():
