@@ -15,13 +15,16 @@ construction rather than by runtime checking.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DisconnectedGraphError
 
@@ -112,30 +115,34 @@ def as_subset_mask(n_vertices: int, subset) -> np.ndarray:
     return mask
 
 
+def _checked_mu(mu, n: int) -> np.ndarray:
+    """Read-only copy of vertex weights (all ones for None); bad values raise."""
+    mu = np.ones(n) if mu is None else _as_float_array(mu, "mu").copy()
+    if mu.size != n:
+        raise ValueError("mu length must match n_vertices")
+    if not np.all((mu > 0.0) & (mu < np.inf)):
+        raise ValueError("mu values must be positive and finite")
+    mu.setflags(write=False)
+    return mu
+
+
 def connected_component_labels(n_vertices: int, hyperedges: Sequence) -> np.ndarray:
-    """Union-find over hyperedge member sets; isolated vertices stay singletons."""
-    parent = np.arange(n_vertices, dtype=np.int64)
+    """Component of every vertex, numbered 0..k-1 in order of first appearance.
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    for members in hyperedges:
-        ms = np.asarray(members, dtype=np.int64)
-        r0 = find(int(ms[0]))
-        for v in ms[1:]:
-            rv = find(int(v))
-            if rv != r0:
-                parent[rv] = r0
-    labels = np.fromiter((find(v) for v in range(n_vertices)), dtype=np.int64,
-                         count=n_vertices)
-    # relabel to 0..k-1 in order of first appearance
-    _, labels = np.unique(labels, return_inverse=True)
-    return labels
+    Components of the bipartite vertex-hyperedge graph restricted to the
+    vertices, so component 0 holds vertex 0; isolated vertices stay
+    singletons.
+    """
+    sizes = [len(ms) for ms in hyperedges]
+    members = np.concatenate(hyperedges).astype(np.int64, copy=False)
+    hubs = n_vertices + np.repeat(np.arange(len(sizes)), sizes)
+    size = n_vertices + len(sizes)
+    graph = sp.csr_array((np.ones(members.size), (members, hubs)),
+                         shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+    _, first, labels = np.unique(labels[:n_vertices], return_index=True,
+                                 return_inverse=True)
+    return np.argsort(np.argsort(first))[labels]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,21 +216,14 @@ class EdvwHypergraph:
             raise ValueError("kappa length must match the number of hyperedges")
         if not np.all((kap > 0.0) & (kap < np.inf)):
             raise ValueError("kappa values must be positive and finite")
-        mu = (np.ones(n) if self.mu is None
-              else _as_float_array(self.mu, "mu").copy())
-        if mu.size != n:
-            raise ValueError("mu length must match n_vertices")
-        if not np.all((mu > 0.0) & (mu < np.inf)):
-            raise ValueError("mu values must be positive and finite")
         kap = kap.copy()
         kap.setflags(write=False)
-        mu.setflags(write=False)
 
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "hyperedges", tuple(members_out))
         object.__setattr__(self, "gamma", tuple(gamma_out))
         object.__setattr__(self, "kappa", kap)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _checked_mu(self.mu, n))
 
         if self.check_connected:
             labels = connected_component_labels(n, members_out)
@@ -247,23 +247,25 @@ class EdvwHypergraph:
         return t
 
     @cached_property
-    def incidence(self) -> tuple:
-        """Per-vertex (hyperedge ids, gamma values) arrays, ids ascending."""
+    def memberships(self) -> tuple:
+        """(vertex, hyperedge id, gamma) of every membership, hyperedge-major."""
         members = np.concatenate(self.hyperedges)
         edge_of = np.repeat(np.arange(self.n_hyperedges),
                             [ms.size for ms in self.hyperedges])
-        order = np.argsort(members, kind="stable")  # keeps hyperedge order
-        bounds = np.cumsum(np.bincount(members, minlength=self.n_vertices))[:-1]
-        eids = np.split(edge_of[order], bounds)
-        gvals = np.split(np.concatenate(self.gamma)[order], bounds)
-        for a in eids + gvals:
+        gamma = np.concatenate(self.gamma)
+        for a in (members, edge_of, gamma):
             a.setflags(write=False)
-        return tuple(zip(eids, gvals))
+        return members, edge_of, gamma
 
     def with_mu(self, mu) -> "EdvwHypergraph":
-        """Return a copy with replaced vertex weights."""
-        return EdvwHypergraph(self.n_vertices, self.hyperedges, self.gamma,
-                              self.kappa, mu, check_connected=False)
+        """Return a copy with replaced vertex weights.
+
+        Only the new mu is validated; the structure arrays and every cached
+        property that does not depend on mu are shared with self.
+        """
+        out = copy.copy(self)  # shallow: shares the instance dict's values
+        object.__setattr__(out, "mu", _checked_mu(mu, self.n_vertices))
+        return out
 
     def _check_edge_id(self, e: int) -> int:
         e = int(e)
@@ -303,6 +305,44 @@ def lovasz_extension(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     return float(weights @ (xs[:-1] - xs[1:]))
 
 
+def sweep_order(x: np.ndarray) -> tuple:
+    """Vertices by decreasing x (ties by id) and each vertex's rank in that order."""
+    order = np.argsort(-x, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
+def cut_increments(h: EdvwHypergraph, spec: SubmodularWeightSpec,
+                   rank: np.ndarray) -> np.ndarray:
+    """Change of the cut cost as each membership's vertex joins S, by rank.
+
+    Vertices join S one at a time in increasing `rank`.  One lexsort orders
+    the memberships by (hyperedge, rank); segmented gamma prefix sums then
+    give every membership (e, v) the increment
+    h(kappa_e) * (g(T_e, after) - g(T_e, before)), with before/after the
+    gamma mass of e inside S just before and after v joins.  So the cut of
+    the first j + 1 vertices is the sum of the increments of ranks <= j, and
+    by Abel summation sum_e f_e(x) = increments @ x[members] when rank sorts
+    x decreasingly.  Returned in `h.memberships` order.
+    """
+    members, edge_of, gamma = h.memberships
+    order = np.lexsort((rank[members], edge_of))
+    starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
+    mass = np.cumsum(gamma[order])
+    base = np.zeros(h.n_hyperedges)
+    base[1:] = mass[starts[1:] - 1]
+    mass -= base[edge_of]  # edge_of[order] == edge_of: segments stay put
+    h_vals = np.array([spec.h(k) for k in h.kappa])
+    after = h_vals[edge_of] * spec.g(h.totals[edge_of], mass)
+    before = np.empty_like(after)
+    before[1:] = after[:-1]
+    before[starts] = 0.0  # g(T, 0) = 0
+    increments = np.empty_like(after)
+    increments[order] = after - before
+    return increments
+
+
 def cut_weight(h: EdvwHypergraph, spec: SubmodularWeightSpec, subset) -> float:
     """Total cut cost sum_e w_e(S) for a proper non-empty S."""
     mask = as_subset_mask(h.n_vertices, subset)
@@ -328,7 +368,7 @@ def _theta_greedy(spec: SubmodularWeightSpec, kappa_e: float,
                   gamma_e: np.ndarray, total: float) -> float:
     # balanced-split heuristic: largest-first onto the lighter side
     a = b = 0.0
-    for g in np.sort(gamma_e)[::-1]:
+    for g in np.sort(gamma_e)[::-1].tolist():
         if a <= b:
             a += g
         else:
@@ -353,9 +393,9 @@ def theta_and_degree(h: EdvwHypergraph, spec: SubmodularWeightSpec,
             theta[e] = _theta_exact(spec, h.kappa[e], gs, total)
         else:
             theta[e] = _theta_greedy(spec, h.kappa[e], gs, total)
-    deg = np.zeros(h.n_vertices)
-    for e, ms in enumerate(h.hyperedges):
-        deg[ms] += theta[e]
+    members, edge_of, _ = h.memberships
+    # bincount adds in membership order: per vertex, in hyperedge order
+    deg = np.bincount(members, theta[edge_of], minlength=h.n_vertices)
     return theta, deg
 
 
@@ -404,10 +444,12 @@ def r1_functional(h: EdvwHypergraph, spec: SubmodularWeightSpec, x) -> float:
         raise ValueError("x length must match n_vertices")
     if np.max(x) == np.min(x):
         raise ValueError("degenerate input: x is constant")
-    numerator = sum(lovasz_extension(h, spec, e, x)
-                    for e in range(h.n_hyperedges))
-    c = weighted_median(x, h.mu)
-    denominator = float(h.mu @ np.abs(x - c))
+    _, rank = sweep_order(x)
+    # centering leaves every f_e unchanged (w_e(e) = 0) and keeps the
+    # increments @ x sum free of cancellation against a large offset
+    y = x - weighted_median(x, h.mu)
+    numerator = float(cut_increments(h, spec, rank) @ y[h.memberships[0]])
+    denominator = float(h.mu @ np.abs(y))
     return numerator / denominator
 
 

@@ -44,11 +44,19 @@ class ClusteringReport:
     iterations: int
     converged: bool
     restart_index: int
-    eigenvector: list
-    partition: list           # 0/1 side per vertex
+    eigenvector: np.ndarray   # read-only float64
+    partition: np.ndarray     # read-only 0/1 int8 side per vertex
     config: dict              # full resolved configuration echo
     provenance: dict
     timings: dict | None = field(default=None)
+
+    def __post_init__(self):
+        # arrays, not lists: a caller that keeps many reports keeps
+        # 9 bytes per vertex instead of about 40
+        for name, dtype in (("eigenvector", np.float64), ("partition", np.int8)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def to_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -62,8 +70,8 @@ class ClusteringReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "restart_index": self.restart_index,
-            "eigenvector": self.eigenvector,
-            "partition": self.partition,
+            "eigenvector": self.eigenvector.tolist(),
+            "partition": self.partition.tolist(),
             "config": self.config,
             "provenance": self.provenance,
         }
@@ -152,6 +160,5 @@ def run_method(h: EdvwHypergraph, labels, method: str,
         ncc=float(part.ncc), error=err, lam=float(lam),
         threshold=threshold, iterations=iterations, converged=converged,
         restart_index=restart,
-        eigenvector=[float(t) for t in x],
-        partition=[int(b) for b in part.side_of],
+        eigenvector=x, partition=part.side_of,
         config=config, provenance=provenance or {}, timings=timings)

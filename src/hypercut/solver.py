@@ -45,8 +45,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .core import (EdvwHypergraph, Partition, SubmodularWeightSpec,
-                   evaluate_partition, weighted_median,
-                   weighted_median_interval)
+                   cut_increments, evaluate_partition, sweep_order,
+                   weighted_median, weighted_median_interval)
 from .errors import DisconnectedGraphError, SolverConvergenceError
 from .reduction import WeightedGraph, graph_cut, graph_total_variation
 
@@ -286,33 +286,36 @@ def _select_best_split(x_sorted: np.ndarray, cuts: np.ndarray,
     return int(boundary[k])
 
 
+def _best_prefix(x, mu: np.ndarray, prefix_cuts) -> np.ndarray:
+    """Mask of the NCC-best set {v : x_v > t}, given the prefix cuts by rank.
+
+    `prefix_cuts(rank)` returns the cuts of the first 1, ..., n - 1 vertices
+    in the order of decreasing x (ties by id).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size != mu.size:
+        raise ValueError("x length must match n_vertices")
+    order, rank = sweep_order(x)
+    vol_prefix = np.cumsum(mu[order])
+    j = _select_best_split(x[order], prefix_cuts(rank), vol_prefix[:-1],
+                           float(vol_prefix[-1]))
+    mask = np.zeros(x.size, dtype=bool)
+    mask[order[:j + 1]] = True
+    return mask
+
+
 def graph_threshold_partition(x, g: WeightedGraph) -> Partition:
     """NCC-minimizing level-set partition of x on a weighted graph."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != g.n_vertices:
-        raise ValueError("x length must match n_vertices")
+    eu, ev, w = g.edges
     n = g.n_vertices
-    order = np.argsort(-x, kind="stable")
-    xs = x[order]
-    vol_prefix = np.cumsum(g.mu[order])
-    vol_total = float(vol_prefix[-1])
 
-    adj = g.adjacency
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    wdeg = g.weighted_degrees
-    acc = np.zeros(n)          # edge mass from each vertex into the prefix
-    cuts = np.empty(n - 1)
-    cur = 0.0
-    for j in range(n - 1):
-        vtx = order[j]
-        cur += wdeg[vtx] - 2.0 * acc[vtx]
-        lo, hi = indptr[vtx], indptr[vtx + 1]
-        acc[indices[lo:hi]] += data[lo:hi]
-        cuts[j] = cur
+    def prefix_cuts(rank):
+        # an edge enters the cut with its first endpoint, leaves with its second
+        ru, rv = rank[eu], rank[ev]
+        return np.cumsum(np.bincount(np.minimum(ru, rv), w, minlength=n)
+                         - np.bincount(np.maximum(ru, rv), w, minlength=n))[:-1]
 
-    j = _select_best_split(xs, cuts, vol_prefix[:-1], vol_total)
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:j + 1]] = True
+    mask = _best_prefix(x, g.mu, prefix_cuts)
     cw = graph_cut(g, mask)  # fresh evaluation, no accumulation drift
     vs = float(g.mu @ mask)
     vsb = float(g.mu @ ~mask)
@@ -323,36 +326,17 @@ def optimal_threshold(x, h: EdvwHypergraph, spec: SubmodularWeightSpec) -> Parti
     """NCC-minimizing level-set partition of x under the hypergraph cut cost.
 
     Sweeps all n - 1 candidate splits S = {v : x_v > t} between distinct
-    sorted entries, maintaining per-hyperedge gamma masses incrementally.
+    sorted entries; the cuts of all prefixes come from one sort of the
+    memberships (`cut_increments`).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != h.n_vertices:
-        raise ValueError("x length must match n_vertices")
-    n = h.n_vertices
-    order = np.argsort(-x, kind="stable")
-    xs = x[order]
-    vol_prefix = np.cumsum(h.mu[order])
-    vol_total = float(vol_prefix[-1])
+    members = h.memberships[0]
 
-    h_vals = np.array([spec.h(k) for k in h.kappa])
-    totals = h.totals
-    mass = np.zeros(h.n_hyperedges)
-    contrib = np.zeros(h.n_hyperedges)
-    cuts = np.empty(n - 1)
-    cur = 0.0
-    for j in range(n - 1):
-        eids, gvals = h.incidence[order[j]]
-        if eids.size:
-            mass[eids] += gvals
-            newc = h_vals[eids] * spec.g(totals[eids], mass[eids])
-            cur += float((newc - contrib[eids]).sum())
-            contrib[eids] = newc
-        cuts[j] = cur
+    def prefix_cuts(rank):
+        return np.cumsum(np.bincount(rank[members],
+                                     cut_increments(h, spec, rank),
+                                     minlength=h.n_vertices))[:-1]
 
-    j = _select_best_split(xs, cuts, vol_prefix[:-1], vol_total)
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:j + 1]] = True
-    return evaluate_partition(h, spec, mask)
+    return evaluate_partition(h, spec, _best_prefix(x, h.mu, prefix_cuts))
 
 
 def _operator_norm_estimate(lop, n: int, iters: int = 80) -> float:
@@ -599,7 +583,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
         inits.append(x0)
 
     # cached_property is not thread-safe: fill the caches before the pool
-    g.edges, g.incidence_matrix, g.weighted_degrees
+    g.edges, g.incidence_matrix
     pattern = _FlowPattern.of(g)
     pending = queue.SimpleQueue()
     for item in enumerate(inits):

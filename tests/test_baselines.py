@@ -1,5 +1,7 @@
 """Random-walk Laplacian baseline and the EDVW-blind cardinality variant."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -97,11 +99,26 @@ def test_rw_lobpcg_path_matches_dense_path(monkeypatch):
         monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 4)
         iterative = run_method(h, labels, "rw-2lap")
         monkeypatch.undo()
-        assert iterative.partition == dense.partition
+        assert np.array_equal(iterative.partition, dense.partition)
         assert iterative.ncc == dense.ncc
         assert iterative.error == dense.error
         assert np.allclose(iterative.eigenvector, dense.eigenvector, atol=1e-6)
 
+
+
+def test_report_keeps_read_only_arrays_and_serializes_lists():
+    h = random_instance(4, n=12, m=7)
+    report = run_method(h, np.arange(12) % 2, "rw-2lap")
+    for arr in (report.eigenvector, report.partition):
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    out = report.to_dict()
+    assert all(type(t) is float for t in out["eigenvector"])
+    assert out["eigenvector"] == report.eigenvector.tolist()
+    assert all(type(b) is int and b in (0, 1) for b in out["partition"])
+    assert out["partition"] == [int(b) for b in report.partition]
+    assert report.to_json() == json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 def test_cardinality_variant_examples(h0):
     flat = cardinality_variant(h0)

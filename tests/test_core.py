@@ -9,7 +9,8 @@ from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       cut_weight, evaluate_partition, lovasz_extension,
                       r1_functional, submodular_weight, theta_and_degree,
                       volume, weighted_median, with_degree_mu)
-from hypercut.core import weighted_median_interval
+from hypercut.core import (connected_component_labels, cut_increments,
+                           sweep_order, weighted_median_interval)
 from hypercut.errors import DisconnectedGraphError
 from hypercut.oracle import random_instance
 
@@ -57,22 +58,54 @@ def test_rejects_disconnected_unless_asked():
         EdvwHypergraph(10 ** 12, edges, gams, kap)
 
 
-def test_incidence_matches_loop_reference():
+def test_memberships_match_loop_reference():
     for seed in range(8):
         h = random_instance(seed, n=12, m=9)
-        if seed == 0:  # vertices 3 and 4 lie in no hyperedge
-            h = EdvwHypergraph(5, [[0, 1], [2, 1]], [[1.0, 2.0], [3.0, 4.0]],
-                               [1.0, 1.0], check_connected=False)
-        eids = [[] for _ in range(h.n_vertices)]
-        gvals = [[] for _ in range(h.n_vertices)]
-        for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
-            for v, g in zip(ms, gs):
-                eids[v].append(e)
-                gvals[v].append(g)
-        assert len(h.incidence) == h.n_vertices
-        for (ea, ga), er, gr in zip(h.incidence, eids, gvals):
-            assert ea.dtype == np.int64 and ga.dtype == np.float64
-            assert ea.tolist() == er and ga.tolist() == gr
+        members, edge_of, gamma = h.memberships
+        ref = [(int(v), e, float(g))
+               for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma))
+               for v, g in zip(ms, gs)]
+        assert members.dtype == edge_of.dtype == np.int64
+        assert gamma.dtype == np.float64
+        assert list(zip(members.tolist(), edge_of.tolist(),
+                        gamma.tolist())) == ref
+        assert not (members.flags.writeable or edge_of.flags.writeable
+                    or gamma.flags.writeable)
+
+
+def test_with_mu_validates_mu_and_shares_structure():
+    h = random_instance(3, n=12, m=9)
+    h.memberships, h.totals  # fill the caches
+    mu = np.arange(1.0, 13.0)
+    h2 = h.with_mu(mu)
+    assert h2.mu.tolist() == mu.tolist() and not h2.mu.flags.writeable
+    mu[0] = 7.0  # the copy owns its weights
+    assert h2.mu[0] == 1.0 and h.mu.tolist() == [1.0] * 12
+    assert h2.hyperedges is h.hyperedges and h2.kappa is h.kappa
+    assert h2.memberships is h.memberships and h2.totals is h.totals
+    for bad in (np.ones(11), np.r_[np.ones(11), 0.0],
+                np.r_[np.ones(11), np.inf], np.r_[np.ones(11), np.nan]):
+        with pytest.raises(ValueError):
+            h.with_mu(bad)
+
+
+def test_component_labels_in_order_of_first_appearance():
+    # member lists arrive unsorted from the builders
+    labels = connected_component_labels(6, [[4, 0], [1, 3], [2, 4]])
+    assert labels.tolist() == [0, 1, 0, 1, 0, 2]
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        n = int(rng.integers(2, 15))
+        edges = [rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)),
+                            replace=False) for _ in range(int(rng.integers(1, 6)))]
+        labels = connected_component_labels(n, edges)
+        # first appearance: the first vertex of each new label is unseen
+        seen = -1
+        for lab in labels.tolist():
+            assert lab <= seen + 1
+            seen = max(seen, lab)
+        for ms in edges:
+            assert np.unique(labels[ms]).size == 1
 
 
 def test_members_are_canonically_sorted():
@@ -280,6 +313,70 @@ def test_lovasz_homogeneity_and_shift_nullity():
         for c in (-3.0, 0.7):
             assert lovasz_extension(h, spec, e, x + c) == \
                 pytest.approx(f, rel=1e-12, abs=1e-12)
+
+
+def reference_prefix_cuts(h, spec, x):
+    """Per-vertex sweep: vertices join S by decreasing x (ties by id) and
+    every hyperedge of the joining vertex updates its gamma mass in S."""
+    incident = [[] for _ in range(h.n_vertices)]
+    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
+        for v, g in zip(ms.tolist(), gs.tolist()):
+            incident[v].append((e, g))
+    mass = np.zeros(h.n_hyperedges)
+    cut, cuts = 0.0, []
+    for v in np.argsort(-x, kind="stable")[:-1]:
+        for e, g in incident[v]:
+            scale, total = spec.h(h.kappa[e]), float(h.totals[e])
+            cut -= scale * spec.g(total, mass[e])
+            mass[e] += g
+            cut += scale * spec.g(total, mass[e])
+        cuts.append(cut)
+    return np.array(cuts)
+
+
+def kernel_prefix_cuts(h, spec, x):
+    _, rank = sweep_order(x)
+    increments = cut_increments(h, spec, rank)
+    return np.cumsum(np.bincount(rank[h.memberships[0]], increments,
+                                 minlength=h.n_vertices))[:-1]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.h_kind.value}-"
+                         f"{s.g_kind.value}")
+def test_cut_increments_match_per_vertex_sweep(spec):
+    rng = np.random.default_rng(21)
+    for seed in range(12):
+        h = random_instance(seed, n=int(rng.integers(5, 30)),
+                            m=int(rng.integers(4, 12)), max_size=8)
+        n = h.n_vertices
+        for x in (rng.standard_normal(n),
+                  rng.integers(0, 3, n).astype(np.float64),  # many ties
+                  np.r_[np.zeros(n - 1), 1.0]):
+            ref = reference_prefix_cuts(h, spec, x)
+            got = kernel_prefix_cuts(h, spec, x)
+            scale = float(np.abs(ref).max())
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * scale)
+            # prefixes are sets: the fresh cut of each agrees as well
+            order = np.argsort(-x, kind="stable")
+            for j in rng.choice(n - 1, size=3):
+                cut = cut_weight(h, spec, order[:j + 1])
+                assert got[j] == pytest.approx(cut, rel=1e-12,
+                                               abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.h_kind.value}-"
+                         f"{s.g_kind.value}")
+def test_r1_functional_matches_summed_lovasz_extensions(spec):
+    rng = np.random.default_rng(22)
+    for seed in range(10):
+        h = with_degree_mu(random_instance(seed, n=15, m=8, max_size=7), spec)
+        for x in (rng.standard_normal(15), rng.integers(0, 3, 15) + 100.0):
+            numerator = sum(lovasz_extension(h, spec, e, x)
+                            for e in range(h.n_hyperedges))
+            denominator = float(h.mu @ np.abs(x - weighted_median(x, h.mu)))
+            assert r1_functional(h, spec, x) == \
+                pytest.approx(numerator / denominator, rel=1e-12)
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0),

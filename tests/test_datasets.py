@@ -238,6 +238,17 @@ def test_largest_component_restriction_logged():
     assert build.labels.tolist() == [1, 1, 1]
 
 
+def test_largest_component_tie_keeps_smallest_vertex():
+    # two equally large components; the one holding vertex 0 is kept
+    features = np.array([[5.0], [0.0], [5.1], [0.1]])
+    labels = np.array([0, 1, 2, 3])
+    build = build_covertype_from_table(features, labels,
+                                       BinningSpec(bins_per_feature=2), 1.0)
+    assert build.provenance["n_components_before_restrict"] == 2
+    assert build.hypergraph.n_vertices == 2
+    assert build.labels.tolist() == [0, 2]
+
+
 # ---------------------------------------------------------------------------
 # fetch bookkeeping (no network: files are pre-placed or absent)
 # ---------------------------------------------------------------------------

@@ -346,11 +346,12 @@ def test_graph_and_hypergraph_threshold_agree_under_clique():
     for seed in range(10):
         h = with_degree_mu(random_instance(seed, n=9, m=5), CLIQUE)
         g = expanded(h)
-        x = rng.standard_normal(9)
-        ph = optimal_threshold(x, h, CLIQUE)
-        pg = graph_threshold_partition(x, g)
-        assert ph.canonical_key() == pg.canonical_key()
-        assert ph.ncc == pytest.approx(pg.ncc, rel=1e-9)
+        for x in (rng.standard_normal(9),
+                  rng.integers(0, 3, 9).astype(np.float64)):  # tied entries
+            ph = optimal_threshold(x, h, CLIQUE)
+            pg = graph_threshold_partition(x, g)
+            assert ph.canonical_key() == pg.canonical_key()
+            assert ph.ncc == pytest.approx(pg.ncc, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
