@@ -39,8 +39,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="IPM restarts (first one is spectrally initialized)")
     p.add_argument("--max-outer", type=int, default=100)
     p.add_argument("--outer-tol", type=float, default=1e-6)
-    p.add_argument("--inner-max", type=int, default=2000)
-    p.add_argument("--inner-tol", type=float, default=1e-8)
+    p.add_argument("--inner-max", type=int, default=2000,
+                   help="inert: the inner solve is exact; still accepted")
+    p.add_argument("--inner-tol", type=float, default=1e-8,
+                   help="inert: the inner solve is exact; still accepted")
 
 
 def _cfg_from_args(args) -> IpmConfig:

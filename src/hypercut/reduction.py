@@ -59,17 +59,6 @@ class WeightedGraph:
         d.setflags(write=False)
         return d
 
-    @cached_property
-    def incidence_matrix(self) -> sp.csr_array:
-        """Signed edge-difference operator D with (Dx)_e = x_u - x_v."""
-        u, v, _ = self.edges
-        m = u.size
-        rows = np.concatenate([np.arange(m), np.arange(m)])
-        cols = np.concatenate([u, v])
-        vals = np.concatenate([np.ones(m), -np.ones(m)])
-        return sp.csr_array((vals, (rows, cols)),
-                            shape=(m, self.n_vertices))
-
 
 def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec,
                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> WeightedGraph:
@@ -85,22 +74,28 @@ def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec,
         raise UnsupportedReductionError(
             f"no clique expansion for g kind {spec.g_kind.value!r}")
     n = h.n_vertices
-    total_pairs = sum(ms.size * (ms.size - 1) // 2 for ms in h.hyperedges)
+    members, edge_of, gamma = h.memberships
+    sizes = np.bincount(edge_of, minlength=h.n_hyperedges)
+    total_pairs = int((sizes * (sizes - 1) // 2).sum())
     if total_pairs > pair_budget:
         logger.warning(
             "clique expansion materializes %d vertex pairs "
             "(budget %d); expect high memory use", total_pairs, pair_budget)
 
-    rows, cols, vals = [], [], []
-    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
-        iu, iv = np.triu_indices(ms.size, k=1)
-        rows.append(ms[iu])
-        cols.append(ms[iv])
-        vals.append(spec.h(h.kappa[e]) * gs[iu] * gs[iv])
-    upper = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    adj = (upper + upper.T).tocsr()
+    # A = B diag(h(kappa)) B^T without its diagonal, B the n x m matrix of
+    # the gamma values: one sparse product over the memberships
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    b_t = sp.csr_array((gamma, members, indptr), shape=(h.n_hyperedges, n))
+    h_kappa = np.array([spec.h(k) for k in h.kappa.tolist()])
+    hb_t = sp.csr_array((h_kappa[edge_of] * gamma, members, indptr),
+                        shape=(h.n_hyperedges, n))
+    adj = b_t.T.tocsr() @ hb_t
+    adj.setdiag(0.0)
+    adj.eliminate_zeros()
+    # the transpose sorts the indices and makes each upper entry the sum of
+    # h(kappa_e) * gamma_e(u) * gamma_e(v) in that order, u < v; a lower
+    # entry multiplies in the other order and can differ in the last bit
+    adj = adj.T.tocsr()
     return WeightedGraph(n, adj, h.mu)
 
 
@@ -109,8 +104,10 @@ def graph_total_variation(g: WeightedGraph, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size != g.n_vertices:
         raise ValueError("x length must match n_vertices")
-    dx = g.incidence_matrix @ x
-    return float(np.einsum("i,i->", g.edges[2], np.abs(dx, out=dx)))
+    u, v, w = g.edges
+    dx = x[u]
+    dx -= x[v]
+    return float(np.einsum("i,i->", w, np.abs(dx, out=dx)))
 
 
 def graph_cut(g: WeightedGraph, subset) -> float:

@@ -10,12 +10,15 @@ zero-sum subgradient v and solves
 
     min { TV(u) - lam * <u, v> : ||u||_2 <= 1 }
 
-which is handled in the dual: TV(u) = max { <beta, Du> : |beta_e| <= w_e }
-with D the signed edge-difference operator, so the inner problem reduces to a
-box-constrained least-norm program over edge dual variables, solved with
-FISTA (accelerated projected gradient with adaptive restart).  A feasible
-inner iterate with non-positive objective certifies monotone descent of R1,
-since the previous iterate itself has objective exactly zero.
+whose solution is u = p / ||p|| with p the proximal point of the total
+variation at lam * v, p = argmin TV(x) + 1/2 ||x - lam v||^2.  That prox is
+computed exactly by parametric min cuts (Chambolle & Darbon, IJCV 2009):
+every level set {p > t} minimizes cut(S) - sum_{i in S} (y_i - t).  A
+divide and conquer splits the vertices along one such minimum cut, moves
+the weight of the cut edges into y on both sides and recurses; all pieces of
+one depth share a single s-t max flow.  The previous iterate is returned
+whenever the candidate does not certify descent (non-positive objective), so
+the descent contract holds regardless of rounding.
 
 Outer iterates are additionally compared against the centered indicator
 vector of their own best threshold cut; whenever that indicator has a smaller
@@ -23,12 +26,11 @@ R1 value (it never has a larger NCC, by the thresholding bound) it becomes
 the next iterate.  This keeps the descent guarantee intact and snaps the
 method onto exact cuts quickly.
 
-After such a snap the previous iterate is optimal for the next inner problem
-far more often than not, and FISTA can only approach that answer
-sublinearly.  TV(u) - lam * <u, v> is the Lovász extension of the set
-function F(A) = cut(A) - lam * v(A) (Hein & Setzer, NIPS 2011), so descent
-exists exactly when min_A F(A) < 0, which one s-t max flow decides; the
-inner solve is skipped whenever the flow rules descent out.
+After such a snap the previous iterate is usually optimal for the next inner
+problem.  TV(u) - lam * <u, v> is the Lovász extension of the set function
+F(A) = cut(A) - lam * v(A) (Hein & Setzer, NIPS 2011), so descent exists
+exactly when min_A F(A) < 0, which the first max flow of the prox already
+decides: when it rules descent out the restart ends there.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  maximum_flow)
 
 from .core import (EdvwHypergraph, Partition, SubmodularWeightSpec,
                    cut_increments, evaluate_partition, sweep_order,
@@ -67,8 +71,8 @@ class IpmConfig:
 
     max_outer_iters: int = 100
     outer_tol: float = 1e-6          # relative R1 decrease below which we stop
-    inner_max_iters: int = 2000
-    inner_tol: float = 1e-8          # sup-norm stall tolerance on edge duals
+    inner_max_iters: int = 2000      # inert: the inner solve is exact
+    inner_tol: float = 1e-8          # inert: the inner solve is exact
     n_restarts: int = 5              # first run is spectrally initialized
     rng_seed: int = 0
 
@@ -117,8 +121,7 @@ class InnerResult:
     """Outcome of one inner total-variation subproblem."""
 
     x: np.ndarray
-    beta: np.ndarray     # edge duals, reusable as a warm start
-    converged: bool
+    converged: bool      # always True: the inner solve is exact
     objective: float     # TV(x) - lam * <x, v> of the returned vector
     improved: bool       # False when the previous iterate was returned
 
@@ -168,109 +171,163 @@ def _center_normalize(x, mu):
     return y / nrm
 
 
-def tv_dual_lipschitz(g: WeightedGraph) -> float:
-    """Safe upper bound on the dual gradient Lipschitz constant lambda_max(D^T D).
+@dataclass(frozen=True, eq=False)
+class _FlowPattern:
+    """Arc layout of the s-t network over a graph given in CSR form.
 
-    D^T D is the unweighted Laplacian of the edge structure, whose largest
-    eigenvalue is at most twice the maximum vertex degree.
+    Vertices 0..k-1 keep their ids, the source is k and the sink k + 1.  Row
+    v lists v's graph arcs in CSR order followed by its sink arc; the source
+    row lists one arc per vertex.  Indices stay sorted when the graph's are,
+    so scipy's max flow copies nothing to sort them.  Unused arcs get
+    capacity zero, so every network fills a data array of the same layout.
+    Restart threads share one pattern of the whole graph; scipy reads it
+    without writing but refuses read-only arrays.
     """
-    eu, ev, _ = g.edges
-    if eu.size == 0:
-        return 1.0
-    deg = np.bincount(eu, minlength=g.n_vertices) \
-        + np.bincount(ev, minlength=g.n_vertices)
-    return float(2.0 * deg.max())
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    graph_slots: np.ndarray   # data positions of the graph arcs
+    sink_slots: np.ndarray    # data position of arc v -> sink, per vertex
+
+    @classmethod
+    def of(cls, indptr: np.ndarray, indices: np.ndarray) -> "_FlowPattern":
+        k = indptr.size - 1
+        nnz = int(indptr[-1])
+        shift = np.arange(k + 1)
+        out_ptr = np.concatenate([indptr + shift,
+                                  [nnz + 2 * k] * 2]).astype(np.int32)
+        sink_slots = out_ptr[1:k + 1] - 1
+        graph_slots = np.arange(nnz) + np.repeat(shift[:k], np.diff(indptr))
+        out = np.empty(nnz + 2 * k, dtype=np.int32)
+        out[graph_slots] = indices
+        out[sink_slots] = k + 1
+        out[nnz + k:] = np.arange(k)
+        return cls(out_ptr, out, graph_slots, sink_slots)
+
+    def network(self, weights: np.ndarray, target: np.ndarray,
+                scale: float) -> sp.csr_array:
+        """The network with graph arcs of capacity w, source -> i of target_i
+        where positive and i -> sink of -target_i where negative, scaled and
+        floored to int32."""
+        k = target.size
+        data = np.empty(self.indices.size, dtype=np.int32)
+        data[self.graph_slots] = weights * scale   # non-negative: the cast floors
+        data[self.sink_slots] = np.maximum(-target, 0.0) * scale
+        data[-k:] = np.maximum(target, 0.0) * scale
+        return sp.csr_array((data, self.indices, self.indptr),
+                            shape=(k + 2, k + 2))
 
 
-def inner_tv_solve(g: WeightedGraph, v, lam: float, cfg: IpmConfig,
-                   x_prev=None, beta0=None,
-                   lipschitz: float | None = None) -> InnerResult:
-    """Approximately minimize TV(x) - lam * <x, v> over the unit 2-norm ball.
+def _source_side(net: sp.csr_array) -> tuple:
+    """Max flow value and the source side of the minimal minimum cut."""
+    k = net.shape[0] - 2
+    result = maximum_flow(net, k, k + 1)
+    reach = breadth_first_order(net - result.flow > 0, k,
+                                return_predecessors=False)
+    side = np.zeros(k + 2, dtype=bool)
+    side[reach] = True
+    return result.flow_value, side[:k]
 
-    Runs FISTA on the dual box program min ||D^T beta - lam v||^2 over
-    |beta_e| <= w_e and recovers the primal point from the residual.  The
-    previous outer iterate is returned unchanged whenever the candidate does
-    not certify descent (non-positive objective), so the caller's descent
-    contract can never be violated.
 
-    Every length-m operation in the loop releases the GIL and avoids
-    threaded BLAS (sparse products, ufuncs, reductions and einsum), so
-    restarts running on separate threads proceed in parallel.
+def tv_prox(g: WeightedGraph, y, pattern: _FlowPattern | None = None
+            ) -> np.ndarray:
+    """p = argmin_x TV(x) + 1/2 ||x - y||^2 by level-synchronous min cuts.
+
+    The vertices are cut into pieces, first one piece holding them all.  A
+    piece P whose values are all equal takes the mean t of its (adjusted) y,
+    and it is optimal exactly when min_{S in P} F(S) >= 0 for
+    F(S) = cut_P(S) - sum_{i in S} (y_i - t).  Otherwise a minimizer S
+    holds the vertices of P above t (Chambolle & Darbon, IJCV 2009), so P
+    splits into S and the rest, and each edge between them becomes linear:
+    its weight moves into y, subtracted on the S side and added on the
+    other.  Each round runs one max flow over the union of the unsettled
+    pieces, without the arcs between pieces; pieces of one vertex settle at
+    once.  Capacities are scaled into int32 and floored, and a piece splits
+    only when its source side has F < 0 evaluated in floats.
+
+    The first round is the certificate network of the IPM: when its flow
+    shows min F >= 0 up to one unit per arc, nothing splits and p is the
+    constant mean of y.  `pattern` is `_FlowPattern.of` the adjacency.
+    """
+    n = g.n_vertices
+    adj = g.adjacency
+    y = np.array(y, dtype=np.float64)        # absorbs the weight of cut edges
+    piece = np.zeros(n, dtype=np.int64)
+    ids = np.arange(n)                        # vertices of unsettled pieces
+    indptr, indices, w = adj.indptr, adj.indices, adj.data  # arcs among them
+    first = True
+    while ids.size:
+        k = ids.size
+        lp = piece[ids]
+        size = np.bincount(lp)
+        target = y[ids] - (np.bincount(lp, y[ids]) / np.maximum(size, 1))[lp]
+        top = max(2.0 * float(w.max(initial=0.0)), float(np.abs(target).max()))
+        if top == 0.0:
+            break                                 # F(S) = cut(S) >= 0
+        scale = _INT32_MAX / top   # an arc and its reverse share a residual
+        if pattern is None or not first:
+            pattern = _FlowPattern.of(indptr, indices)
+        flow, side = _source_side(pattern.network(w, target, scale))
+        if first and (flow / scale - float(np.maximum(target, 0.0).sum())
+                      >= -(pattern.indices.size + 1) / scale):
+            break
+        first = False
+        rows = np.repeat(np.arange(k, dtype=np.int32), np.diff(indptr))
+        out = side[rows] & ~side[indices]         # each cut edge once
+        cut = np.bincount(lp[rows[out]], w[out], minlength=size.size)
+        gain = np.bincount(lp[side], target[side], minlength=size.size)
+        inside = np.bincount(lp[side], minlength=size.size)
+        split = (cut < gain) & (inside > 0) & (inside < size)
+        if not split.any():
+            break
+        moving = split[lp]
+        mv = out & moving[rows]
+        y[ids] += (np.bincount(indices[mv], w[mv], minlength=k)
+                   - np.bincount(rows[mv], w[mv], minlength=k))
+        upper = np.zeros(n, dtype=np.int64)
+        upper[ids[side & moving]] = 1
+        _, piece = np.unique(2 * piece + upper, return_inverse=True)
+        stay = moving & (np.bincount(piece)[piece[ids]] > 1)
+        keep = stay[rows] & (side[rows] == side[indices])
+        local = (np.cumsum(stay) - 1).astype(np.int32)
+        indices, w = local[indices[keep]], w[keep]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(local[rows[keep]],
+                                        minlength=int(stay.sum())))])
+        ids = ids[stay]
+    return (np.bincount(piece, y) / np.bincount(piece))[piece]
+
+
+def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None,
+                   pattern: _FlowPattern | None = None) -> InnerResult:
+    """Minimize TV(x) - lam * <x, v> over the unit 2-norm ball.
+
+    The minimizer is p / ||p|| for the prox p of TV at lam * v (`tv_prox`).
+    The previous outer iterate is returned unchanged when p is constant (no
+    descent direction) or when the candidate does not certify descent
+    (non-positive objective), so the caller's descent contract can never be
+    violated.
     """
     n = g.n_vertices
     v = np.asarray(v, dtype=np.float64)
     x_prev = np.zeros(n) if x_prev is None else np.asarray(x_prev, dtype=np.float64)
-    w = g.edges[2]
-    m = w.size
 
     def objective(x: np.ndarray) -> float:
         return graph_total_variation(g, x) - lam * float(x @ v)
 
-    if lam <= 0.0 or m == 0:
-        return InnerResult(x_prev.copy(), np.zeros(m), True,
-                           objective(x_prev), improved=False)
+    def unchanged() -> InnerResult:
+        return InnerResult(x_prev.copy(), True, objective(x_prev), improved=False)
 
-    target = lam * v
-    step = 1.0 / (lipschitz if lipschitz is not None else tv_dual_lipschitz(g))
-    incidence = g.incidence_matrix
-    incidence_t = incidence.T  # CSC view of the same arrays, nothing copied
-    neg_w = -w
-    beta = np.zeros(m) if beta0 is None else np.clip(beta0, -w, w)
-    z = beta.copy()
-    t = 1.0
-    converged = False
-    stall_tol = cfg.inner_tol * max(1.0, float(w.max()))
-    dbeta = np.empty(m)
-    scratch = np.empty(m)
-
-    def dual_residual(duals: np.ndarray) -> np.ndarray:
-        r = incidence_t @ duals
-        r -= target
-        return r
-
-    for it in range(1, cfg.inner_max_iters + 1):
-        rs = dual_residual(z)
-        rs *= -step
-        cand = incidence @ rs                # -step * gradient of the dual
-        cand += z
-        np.clip(cand, neg_w, w, out=cand)    # cand is now the new dual point
-        np.subtract(cand, beta, out=dbeta)
-        np.subtract(z, cand, out=scratch)
-        if np.einsum("i,i->", scratch, dbeta) > 0.0:
-            # adaptive restart: momentum points uphill
-            t = 1.0
-            z[:] = cand
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            np.multiply(dbeta, (t - 1.0) / t_new, out=scratch)
-            np.add(cand, scratch, out=z)
-            t = t_new
-        beta = cand
-        if max(dbeta.max(), -dbeta.min()) <= stall_tol:
-            converged = True
-            break
-        if it % 25 == 0:
-            # certified stop: primal-dual gap of the recovered unit vector
-            rr = dual_residual(beta)
-            nr = float(np.linalg.norm(rr))
-            if nr <= _TINY:
-                break
-            gap = objective(-rr / nr) + nr
-            if gap <= cfg.inner_tol * max(1.0, nr):
-                converged = True
-                break
-
-    r = dual_residual(beta)
-    nr = float(np.linalg.norm(r))
-    if nr <= _TINY:
-        return InnerResult(x_prev.copy(), beta, converged,
-                           objective(x_prev), improved=False)
-    x = -r / nr
+    if lam <= 0.0 or g.adjacency.nnz == 0:
+        return unchanged()
+    p = tv_prox(g, lam * v, pattern)
+    if p.min() == p.max():
+        return unchanged()
+    x = p / np.linalg.norm(p)
     obj = objective(x)
     if obj <= 0.0:
-        return InnerResult(x, beta, converged, obj, improved=True)
-    return InnerResult(x_prev.copy(), beta, converged,
-                       objective(x_prev), improved=False)
+        return InnerResult(x, True, obj, improved=True)
+    return unchanged()
 
 
 def _select_best_split(x_sorted: np.ndarray, cuts: np.ndarray,
@@ -289,15 +346,15 @@ def _select_best_split(x_sorted: np.ndarray, cuts: np.ndarray,
 def _best_prefix(x, mu: np.ndarray, prefix_cuts) -> np.ndarray:
     """Mask of the NCC-best set {v : x_v > t}, given the prefix cuts by rank.
 
-    `prefix_cuts(rank)` returns the cuts of the first 1, ..., n - 1 vertices
-    in the order of decreasing x (ties by id).
+    `prefix_cuts(order, rank)` returns the cuts of the first 1, ..., n - 1
+    vertices in the order of decreasing x (ties by id).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size != mu.size:
         raise ValueError("x length must match n_vertices")
     order, rank = sweep_order(x)
     vol_prefix = np.cumsum(mu[order])
-    j = _select_best_split(x[order], prefix_cuts(rank), vol_prefix[:-1],
+    j = _select_best_split(x[order], prefix_cuts(order, rank), vol_prefix[:-1],
                            float(vol_prefix[-1]))
     mask = np.zeros(x.size, dtype=bool)
     mask[order[:j + 1]] = True
@@ -309,11 +366,13 @@ def graph_threshold_partition(x, g: WeightedGraph) -> Partition:
     eu, ev, w = g.edges
     n = g.n_vertices
 
-    def prefix_cuts(rank):
-        # an edge enters the cut with its first endpoint, leaves with its second
-        ru, rv = rank[eu], rank[ev]
-        return np.cumsum(np.bincount(np.minimum(ru, rv), w, minlength=n)
-                         - np.bincount(np.maximum(ru, rv), w, minlength=n))[:-1]
+    def prefix_cuts(order, rank):
+        # an edge enters the cut with its first endpoint and leaves with its
+        # second, so a vertex adds its degree less twice its earlier edges
+        ru = rank[eu]
+        first = np.minimum(ru, rank[ev], out=ru)
+        return np.cumsum(2.0 * np.bincount(first, w, minlength=n)
+                         - g.weighted_degrees[order])[:-1]
 
     mask = _best_prefix(x, g.mu, prefix_cuts)
     cw = graph_cut(g, mask)  # fresh evaluation, no accumulation drift
@@ -331,7 +390,7 @@ def optimal_threshold(x, h: EdvwHypergraph, spec: SubmodularWeightSpec) -> Parti
     """
     members = h.memberships[0]
 
-    def prefix_cuts(rank):
+    def prefix_cuts(order, rank):
         return np.cumsum(np.bincount(rank[members],
                                      cut_increments(h, spec, rank),
                                      minlength=h.n_vertices))[:-1]
@@ -374,8 +433,10 @@ def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0,
     n = lap.shape[0]
     if n <= DENSE_CAP:
         dense = lap.toarray() if sp.issparse(lap) else lap @ np.eye(n)
-        evals, evecs = np.linalg.eigh(dense)
-        scale = max(float(np.abs(evals).max()), _TINY)
+        # Gershgorin: no eigenvalue exceeds the largest absolute row sum
+        scale = max(float(np.abs(dense).sum(axis=1).max()), _TINY)
+        evals, evecs = sla.eigh(dense, subset_by_index=[0, 1],
+                                overwrite_a=True)
         if evals[1] <= 1e-10 * scale:
             raise DisconnectedGraphError(
                 "second eigenvalue is numerically zero; operator is disconnected")
@@ -414,68 +475,6 @@ def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _FlowPattern:
-    """Arc layout of the s-t network behind `_cut_descent_ruled_out`.
-
-    Vertices 0..n-1 keep their ids, the source is n and the sink n + 1.  Row
-    v lists v's graph arcs in adjacency order followed by its sink arc; the
-    source row lists one arc per vertex.  Unused arcs get capacity zero, so
-    every check fills a data array of the same layout.  Restart threads share
-    one pattern; scipy reads it without writing but refuses read-only arrays.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    graph_slots: np.ndarray   # data positions of the adjacency entries
-    sink_slots: np.ndarray    # data position of arc v -> sink, per vertex
-
-    @classmethod
-    def of(cls, g: WeightedGraph) -> "_FlowPattern":
-        n = g.n_vertices
-        adj = g.adjacency
-        nnz = int(adj.indptr[-1])
-        shift = np.arange(n + 1)
-        indptr = np.concatenate([adj.indptr + shift,
-                                 [nnz + 2 * n] * 2]).astype(np.int32)
-        sink_slots = indptr[1:n + 1] - 1
-        graph_slots = np.arange(nnz) + np.repeat(shift[:n], np.diff(adj.indptr))
-        indices = np.empty(nnz + 2 * n, dtype=np.int32)
-        indices[graph_slots] = adj.indices
-        indices[sink_slots] = n + 1
-        indices[nnz + n:] = np.arange(n)
-        return cls(indptr, indices, graph_slots, sink_slots)
-
-
-def _cut_descent_ruled_out(g: WeightedGraph, pattern: _FlowPattern,
-                           v: np.ndarray, lam: float) -> bool:
-    """True when one max flow shows min_A cut(A) - lam * v(A) >= 0.
-
-    v sums to zero, so F(A) = cut(A) - lam * v(A) vanishes on the empty and
-    the full set, and its Lovász extension TV(u) - lam * <u, v> is the inner
-    objective: no u has a negative inner objective exactly when min F >= 0.
-    The network carries the graph arcs both ways, an arc source -> i of
-    capacity lam * v_i where v_i > 0 and i -> sink of capacity -lam * v_i
-    where v_i < 0; its minimum cut equals sum_{v_i > 0} lam * v_i + min F.
-    Capacities are scaled to integers and floored, which can only lower the
-    flow, so the test allows one unit per arc.  A graph arc and its reverse
-    share one residual capacity in scipy, so their sum must fit in int32 too.
-    """
-    n = g.n_vertices
-    w = g.adjacency.data
-    target = lam * v
-    scale = _INT32_MAX / max(2.0 * float(w.max()), float(np.abs(target).max()))
-    data = np.empty(pattern.indices.size, dtype=np.int32)
-    data[pattern.graph_slots] = w * scale   # non-negative: the cast floors
-    pos = np.maximum(target, 0.0)
-    data[pattern.sink_slots] = np.maximum(-target, 0.0) * scale
-    data[-n:] = pos * scale
-    net = sp.csr_array((data, pattern.indices, pattern.indptr),
-                       shape=(n + 2, n + 2))
-    flow = maximum_flow(net, n, n + 1).flow_value
-    return flow / scale - float(pos.sum()) >= -(data.size + 1) / scale
-
-
-@dataclass(frozen=True, eq=False)
 class _RunOutcome:
     x: np.ndarray
     lam: float
@@ -486,7 +485,7 @@ class _RunOutcome:
 
 
 def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
-             lipschitz: float, pattern: _FlowPattern) -> _RunOutcome:
+             pattern: _FlowPattern) -> _RunOutcome:
     mu = g.mu
     x = _center_normalize(x0, mu)
     if x is None:
@@ -494,20 +493,12 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
     lam = graph_r1(g, x)
     part = graph_threshold_partition(x, g)
     trace = [IpmIterate(lam, part.ncc)]
-    beta = None
     converged = False
-    snapped = False
     iters = 0
     for k in range(cfg.max_outer_iters):
         iters = k + 1
         v = median_subgradient(x, mu)
-        if snapped and _cut_descent_ruled_out(g, pattern, v, lam):
-            # the inner solve could only return x itself
-            converged = True
-            break
-        inner = inner_tv_solve(g, v, lam, cfg, x_prev=x, beta0=beta,
-                               lipschitz=lipschitz)
-        beta = inner.beta
+        inner = inner_tv_solve(g, v, lam, x_prev=x, pattern=pattern)
         if not inner.improved:
             converged = True
             break
@@ -519,11 +510,11 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
         part_cand = graph_threshold_partition(cand, g)
         # cut-improvement step: the centered indicator of the best threshold
         # set has R1 equal to that cut's NCC and never loses to the candidate
-        # by more than the thresholding bound allows
+        # by more than the thresholding bound allows; it wins ties, which a
+        # two-level candidate (the same cut, rounded) often makes
         indicator = _center_normalize(part_cand.side_of.astype(np.float64), mu)
         lam_ind = graph_r1(g, indicator) if indicator is not None else np.inf
-        snapped = lam_ind < lam_cand
-        if snapped:
+        if lam_ind <= lam_cand:
             nxt, lam_next = indicator, lam_ind
         else:
             nxt, lam_next = cand, lam_cand
@@ -567,7 +558,6 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
         raise DisconnectedGraphError(
             f"graph has {ncomp} components; the IPM needs a connected graph")
 
-    lipschitz = tv_dual_lipschitz(g)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
     inits: list[np.ndarray] = []
     try:
@@ -583,8 +573,8 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
         inits.append(x0)
 
     # cached_property is not thread-safe: fill the caches before the pool
-    g.edges, g.incidence_matrix
-    pattern = _FlowPattern.of(g)
+    g.edges, g.weighted_degrees
+    pattern = _FlowPattern.of(g.adjacency.indptr, g.adjacency.indices)
     pending = queue.SimpleQueue()
     for item in enumerate(inits):
         pending.put(item)
@@ -596,10 +586,10 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
                 i, x0 = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, cfg, lipschitz, pattern)
+            outcomes[i] = _ipm_run(g, x0, cfg, pattern)
 
     # this thread is one of the workers: each extra thread keeps a malloc
-    # arena as large as its FISTA buffers after the pool is gone
+    # arena as large as its max-flow buffers after the pool is gone
     workers = min(cfg.n_restarts, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         helpers = [pool.submit(drain) for _ in range(workers - 1)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
@@ -107,10 +108,54 @@ def test_expansion_preserves_connectivity_and_count():
         assert ncomp == 1
 
 
+def clique_expand_loop(h, spec) -> sp.csr_array:
+    """Reference expansion: h(kappa_e) gamma_e(u) gamma_e(v), pair by pair."""
+    rows, cols, vals = [], [], []
+    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
+        iu, iv = np.triu_indices(ms.size, k=1)
+        rows.append(ms[iu])
+        cols.append(ms[iv])
+        vals.append(spec.h(h.kappa[e]) * gs[iu] * gs[iv])
+    upper = sp.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(h.n_vertices, h.n_vertices))
+    return (upper + upper.T).tocsr()
+
+
+def test_clique_expand_matches_loop_reference():
+    # overlapping hyperedges, wide gamma and kappa ranges, and a vertex in
+    # no hyperedge (an empty row and no diagonal entry to remove)
+    instances = [random_instance(seed, n=4 + seed % 9, m=2 + seed % 6,
+                                 gamma_range=(0.01, 100.0),
+                                 kappa_range=(0.01, 100.0), max_size=6)
+                 for seed in range(40)]
+    instances.append(EdvwHypergraph(5, [[0, 1, 2], [1, 3], [0, 1, 3]],
+                                    [[1.0, 2.0, 3.0], [0.5, 4.0], [3.0, 1.0, 7.0]],
+                                    [1.0, 2.5, 0.3], check_connected=False))
+    for h in instances:
+        for h_kind in (HKind.IDENTITY, HKind.CONSTANT_ONE):
+            spec = SubmodularWeightSpec(h_kind, GKind.CLIQUE)
+            got = clique_expand(h, spec).adjacency
+            ref = clique_expand_loop(h, spec)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.all(np.abs(got.data - ref.data) <= 1e-15 * ref.data)
+
+
 def test_pair_budget_warning(h0, spec_clique, caplog):
     with caplog.at_level("WARNING"):
         clique_expand(h0, spec_clique, pair_budget=1)
     assert any("pairs" in r.message for r in caplog.records)
+    # one hyperedge of 3 members and one of 2: 3 + 1 pairs
+    h = EdvwHypergraph(4, [[0, 1, 2], [2, 3]], [[1.0, 1.0, 1.0], [1.0, 1.0]],
+                       [1.0, 1.0])
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        clique_expand(h, spec_clique, pair_budget=4)
+    assert not caplog.records
+    with caplog.at_level("WARNING"):
+        clique_expand(h, spec_clique, pair_budget=3)
+    assert [r.getMessage().split()[3] for r in caplog.records] == ["4"]
 
 
 def test_matrix_market_export(tmp_path, h0, spec_clique):

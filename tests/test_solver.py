@@ -15,9 +15,8 @@ from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       second_eigvec_2lap, with_degree_mu)
 from hypercut.errors import DisconnectedGraphError
 from hypercut.oracle import random_instance
-from hypercut.solver import (_center_normalize, _cut_descent_ruled_out,
-                             _FlowPattern, graph_threshold_partition,
-                             tv_dual_lipschitz)
+from hypercut.solver import (_center_normalize, graph_threshold_partition,
+                             tv_prox)
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
@@ -58,7 +57,7 @@ def test_median_subgradient_sums_to_zero_and_supports_denominator():
 def test_inner_zero_lambda_returns_previous(h0):
     g = expanded(with_degree_mu(h0, CLIQUE))
     x_prev = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
-    res = inner_tv_solve(g, np.zeros(3), 0.0, IpmConfig(), x_prev=x_prev)
+    res = inner_tv_solve(g, np.zeros(3), 0.0, x_prev=x_prev)
     assert not res.improved
     assert np.array_equal(res.x, x_prev)
 
@@ -66,9 +65,19 @@ def test_inner_zero_lambda_returns_previous(h0):
 def test_inner_two_vertex_linear_term_dominates():
     g = path2()
     v = np.array([0.6, -0.8])
-    res = inner_tv_solve(g, v, 1e6, IpmConfig(), x_prev=np.array([1.0, -1.0]))
+    res = inner_tv_solve(g, v, 1e6, x_prev=np.array([1.0, -1.0]))
     assert res.improved
     assert np.allclose(res.x, v / np.linalg.norm(v), atol=1e-5)
+
+
+def test_inner_ignores_descent_within_one_unit_per_arc():
+    # min F = F({0}) = -1e-9 lies below zero but within the slack of the
+    # integer flow (7 units of 2^31 / 2), so no descent is reported, though
+    # the source side of the minimum cut is {0}; at -1e-6 there is descent
+    x_prev = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    for gap, improved in ((1e-9, False), (1e-6, True)):
+        v = np.array([1.0 + gap, -1.0 - gap])
+        assert inner_tv_solve(path2(), v, 1.0, x_prev=x_prev).improved == improved
 
 
 def test_inner_objective_nonpositive_in_ipm_context():
@@ -81,9 +90,38 @@ def test_inner_objective_nonpositive_in_ipm_context():
         x = _center_normalize(x, g.mu)
         lam = graph_r1(g, x)
         v = median_subgradient(x, g.mu)
-        res = inner_tv_solve(g, v, lam, IpmConfig(), x_prev=x,
-                             lipschitz=tv_dual_lipschitz(g))
+        res = inner_tv_solve(g, v, lam, x_prev=x)
         assert res.objective <= 1e-12
+
+
+def random_graph(rng, n: int, density: float) -> WeightedGraph:
+    dense = np.triu(rng.random((n, n)) < density, 1) * rng.lognormal(0.0, 1.0, (n, n))
+    return WeightedGraph(n, sp.csr_array(dense + dense.T), np.ones(n))
+
+
+def test_tv_prox_level_sets_minimize_cut_functions():
+    # {p > t} minimizes cut(S) - sum_S (y - t) for every t (Chambolle &
+    # Darbon); graphs may have isolated vertices and several pieces
+    for case in range(300):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 10))
+        g = random_graph(rng, n, rng.choice([0.0, 0.2, 0.5, 0.9]))
+        y = 3.0 * rng.standard_normal(n)
+        if case % 3 == 0:
+            y = np.round(y)  # tied entries
+        p = tv_prox(g, y)
+        u, v, w = g.edges
+        magnitude = w.sum() + np.abs(y).sum()
+        assert abs(p.sum() - y.sum()) <= 1e-12 * magnitude, case
+        subsets = np.array(list(itertools.product([False, True], repeat=n)))
+        cuts = (subsets[:, u] != subsets[:, v]) @ w
+        levels = np.unique(p)
+        for t in np.concatenate([levels, (levels[1:] + levels[:-1]) / 2,
+                                 [levels[0] - 1.0]]):
+            f = cuts - subsets @ (y - t)
+            s = p > t
+            f_level = ((s[u] != s[v]) @ w) - (y - t) @ s
+            assert f_level <= f.min() + 1e-9 * magnitude, (case, t)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +168,9 @@ def random_connected_graph(rng, n: int) -> WeightedGraph:
 
 
 def test_cut_descent_certificate_matches_enumeration():
-    # min_A cut(A) - lam * v(A) over all 2^n subsets decides the same thing;
-    # case 198 routes flow both ways over the heaviest arc
+    # the first max flow of the inner solve decides whether any descent is
+    # left, as min_A cut(A) - lam * v(A) over all 2^n subsets does; case 198
+    # routes flow both ways over the heaviest arc
     ruled_out = 0
     for case in range(480):
         rng = np.random.default_rng(case)
@@ -152,40 +191,45 @@ def test_cut_descent_certificate_matches_enumeration():
         f_min = ((subsets[:, u] != subsets[:, w_]) @ w
                  - lam * (subsets @ v)).min()
         magnitude = max(w.max(), np.abs(lam * v).max())
-        got = _cut_descent_ruled_out(g, _FlowPattern.of(g), v, lam)
+        got = not inner_tv_solve(g, v, lam, x_prev=x).improved
         assert got == (f_min >= -1e-9 * magnitude), (case, f_min / magnitude)
         ruled_out += got
     assert 60 <= ruled_out <= 420  # both answers are exercised
 
 
-def test_cut_descent_certificate_keeps_ipm_results(monkeypatch):
-    # skipping the inner solve the flow rules out changes nothing but work
-    calls = []
-    solve = hypercut.solver.inner_tv_solve
+#: best partition (vertices of one side) and lambda on the instances of the
+#: descent test, as the box-dual FISTA solver with a separate max-flow check
+#: returned them
+PINNED_IPM_RESULTS = [
+    ([0, 1, 3, 5, 8], 0.29645319052372593),
+    ([0, 1, 6, 9], 0.2044097480019473),
+    ([0, 3, 4], 0.3616460894866174),
+    ([0, 1, 2, 4, 6, 8], 0.17706039714197108),
+    ([0, 1, 2, 3, 5, 7, 9], 0.13271089504450842),
+    ([0, 1, 3, 5, 6, 7, 8, 9], 0.287066713291088),
+    ([0, 1, 4, 5, 6, 7, 8], 0.2638714391185306),
+    ([0, 1, 3, 7, 9], 0.24058349552886465),
+    ([0, 3, 4, 6, 7, 9], 0.17473250852719813),
+    ([0, 3, 4, 6], 0.11743847785751033),
+    ([0, 1, 5, 6], 0.27456437220482033),
+    ([0, 2, 3, 4, 7], 0.15546604403570194),
+]
 
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_solve)
-    counts = {}
-    results = {}
-    for live in (True, False):
-        if not live:
-            monkeypatch.setattr(hypercut.solver, "_cut_descent_ruled_out",
-                                lambda *args: False)
-        calls.clear()
-        results[live] = []
-        for seed in range(12):  # the instances of the descent test above
-            h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
-            results[live].append(
-                ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed)))
-        counts[live] = len(calls)
-    for a, b in zip(results[True], results[False]):
-        assert np.array_equal(a.x, b.x)
-        assert (a.lam, a.iters, a.converged, a.restart_index, a.trace) == \
-            (b.lam, b.iters, b.converged, b.restart_index, b.trace)
-    assert counts[True] < counts[False]
+def test_cut_descent_certificate_keeps_ipm_results():
+    # the exact inner solve and its built-in certificate end every restart
+    # on the partition and the eigenvalue the earlier solver found
+    for seed, (side, lam) in enumerate(PINNED_IPM_RESULTS):
+        h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
+        g = expanded(h)
+        res = ipm_second_eigvec(g, IpmConfig(rng_seed=seed))
+        part = graph_threshold_partition(res.x, g)
+        assert np.flatnonzero(part.side_of).tolist() == side, seed
+        assert res.lam == pytest.approx(lam, rel=1e-12, abs=0.0), seed
+        # the restart ends on the exact cut, as it did: the eigenvector is
+        # the centered indicator of the partition
+        indicator = _center_normalize(part.side_of.astype(np.float64), g.mu)
+        assert np.array_equal(res.x, indicator), seed
 
 
 def test_ipm_rejects_disconnected():
@@ -268,6 +312,22 @@ def test_second_eigvec_2lap_sparse_and_dense_inputs_agree():
     ones = np.ones(g.n_vertices)
     assert np.array_equal(second_eigvec_2lap(lap, nullspace=ones),
                           second_eigvec_2lap(lap.toarray(), nullspace=ones))
+
+
+def test_second_eigvec_2lap_dense_branch_matches_full_eigh():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        g = random_connected_graph(rng, n)
+        lap = sp.diags_array(g.weighted_degrees) - g.adjacency
+        full = np.linalg.eigh(lap.toarray())[1][:, 1]
+        x = second_eigvec_2lap(lap, nullspace=np.ones(n))
+        assert abs(x @ full) >= 1.0 - 1e-12
+    pieces = sp.block_diag([random_connected_graph(rng, 6).adjacency,
+                            random_connected_graph(rng, 5).adjacency])
+    lap = sp.diags_array(np.asarray(pieces.sum(axis=1)).ravel()) - pieces
+    with pytest.raises(DisconnectedGraphError):
+        second_eigvec_2lap(lap, nullspace=np.ones(11))
 
 
 def test_second_eigvec_2lap_disconnected_raises():
