@@ -21,6 +21,11 @@ from .errors import SolverConvergenceError
 # re-exported: the benchmark's smoke tests size the operator-path run from it
 from .solver import DENSE_CAP  # noqa: F401
 
+#: the stationary power iteration stops at this l1 fixed-point residual and
+#: gives up after PI_MAX_ITERS steps
+PI_TOL = 1e-12
+PI_MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True, eq=False)
 class RwLaplacian:
@@ -73,43 +78,36 @@ class RwLaplacian:
         }
 
 
-def build_rw_laplacian(h: EdvwHypergraph, pi_tol: float = 1e-12,
-                       pi_max_iters: int = 200_000) -> RwLaplacian:
+def build_rw_laplacian(h: EdvwHypergraph) -> RwLaplacian:
     """Assemble the two-step walk and its stationary distribution.
 
     Hyperedge selection is kappa-proportional and ignores the gammas of the
     selecting vertex; the landing step is gamma-proportional.  The stationary
     distribution comes from power iteration on the factored transition,
-    stopped at an l1 fixed-point residual of `pi_tol`.
+    stopped at an l1 fixed-point residual of `PI_TOL`.
     """
     n, m = h.n_vertices, h.n_hyperedges
-    kdeg = np.zeros(n)
-    for e, ms in enumerate(h.hyperedges):
-        kdeg[ms] += h.kappa[e]
-
-    rows, cols, v_ve, v_ev = [], [], [], []
-    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
-        rows.append(ms)
-        cols.append(np.full(ms.size, e, dtype=np.int64))
-        v_ve.append(h.kappa[e] / kdeg[ms])
-        v_ev.append(gs / float(h.totals[e]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    p_ve = sp.coo_array((np.concatenate(v_ve), (rows, cols)), shape=(n, m)).tocsr()
-    p_ev = sp.coo_array((np.concatenate(v_ev), (cols, rows)), shape=(m, n)).tocsr()
+    members, edge_of, gamma = h.memberships
+    # bincount adds in membership order: per vertex, in hyperedge order
+    kdeg = np.bincount(members, h.kappa[edge_of], minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(edge_of, minlength=m))])
+    p_ev = sp.csr_array((gamma / h.totals[edge_of], members, indptr),
+                        shape=(m, n))
+    p_ve = sp.csr_array((h.kappa[edge_of] / kdeg[members], members, indptr),
+                        shape=(m, n)).T.tocsr()
 
     pi = np.full(n, 1.0 / n)
-    for _ in range(pi_max_iters):
+    for _ in range(PI_MAX_ITERS):
         nxt = p_ev.T @ (p_ve.T @ pi)
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if residual <= pi_tol:
+        if residual <= PI_TOL:
             break
     else:
         raise SolverConvergenceError(
             "stationary distribution power iteration did not converge",
-            diagnostics={"residual": residual, "iters": pi_max_iters})
+            diagnostics={"residual": residual, "iters": PI_MAX_ITERS})
     if not np.all(pi > 0.0):
         raise SolverConvergenceError("stationary distribution has zero mass")
     return RwLaplacian(p_ve, p_ev, pi)

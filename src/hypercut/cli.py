@@ -10,7 +10,6 @@ import csv
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -129,17 +128,8 @@ def cmd_sweep(args) -> int:
     for mth in methods:
         if mth not in METHODS:
             raise DataIngestError(f"unknown method {mth!r}")
-    jobs = [(alpha, method) for alpha in alphas for method in methods]
-
-    def one(job):
-        alpha, method = job
-        return _cluster_once(args, method, alpha)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, jobs))
-    else:
-        reports = [one(job) for job in jobs]
+    reports = [_cluster_once(args, method, alpha)
+               for alpha in alphas for method in methods]
 
     rows = [{
         "dataset": args.dataset,
@@ -236,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", choices=["degree", "ones"], default="degree")
     p.add_argument("--kappa-members-only", action="store_true")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep points (threads)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep, input=None)
 

@@ -376,20 +376,19 @@ def _theta_greedy(spec: SubmodularWeightSpec, kappa_e: float,
     return spec.h(kappa_e) * float(spec.g(total, a))
 
 
-def theta_and_degree(h: EdvwHypergraph, spec: SubmodularWeightSpec,
-                     exact_cap: int = DEFAULT_EXACT_CAP):
+def theta_and_degree(h: EdvwHypergraph, spec: SubmodularWeightSpec):
     """Per-hyperedge maximal cut cost theta_e and the vertex degrees it induces.
 
     theta_e = max over S of w_e(S), exact by enumeration for hyperedges of up
-    to `exact_cap` members and via a deterministic greedy balanced split above
-    that (the greedy value never exceeds the exact maximum).  The degree of a
-    vertex sums theta_e over its incident hyperedges and is the usual choice
-    for the vertex weights mu.
+    to `DEFAULT_EXACT_CAP` members and via a deterministic greedy balanced
+    split above that (the greedy value never exceeds the exact maximum).
+    The degree of a vertex sums theta_e over its incident hyperedges and is
+    the usual choice for the vertex weights mu.
     """
     theta = np.empty(h.n_hyperedges)
     for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
         total = float(h.totals[e])
-        if ms.size <= exact_cap:
+        if ms.size <= DEFAULT_EXACT_CAP:
             theta[e] = _theta_exact(spec, h.kappa[e], gs, total)
         else:
             theta[e] = _theta_greedy(spec, h.kappa[e], gs, total)
@@ -399,10 +398,10 @@ def theta_and_degree(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     return theta, deg
 
 
-def with_degree_mu(h: EdvwHypergraph, spec: SubmodularWeightSpec,
-                   exact_cap: int = DEFAULT_EXACT_CAP) -> EdvwHypergraph:
+def with_degree_mu(h: EdvwHypergraph,
+                   spec: SubmodularWeightSpec) -> EdvwHypergraph:
     """Copy of h with mu set to the theta-induced vertex degrees."""
-    _, deg = theta_and_degree(h, spec, exact_cap)
+    _, deg = theta_and_degree(h, spec)
     return h.with_mu(deg)
 
 

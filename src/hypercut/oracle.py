@@ -16,8 +16,7 @@ MAX_EXACT_VERTICES = 20
 _CHUNK = 1 << 18
 
 
-def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec,
-             max_vertices: int = MAX_EXACT_VERTICES):
+def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec):
     """Exact minimal NCC and its argmin partition by full enumeration.
 
     Subsets never contain vertex 0 (each split is visited once via its
@@ -25,9 +24,9 @@ def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     vertex 0.  Returns (h2, Partition).
     """
     n = h.n_vertices
-    if n > max_vertices:
+    if n > MAX_EXACT_VERTICES:
         raise ValueError(
-            f"refusing exact enumeration for n={n} > {max_vertices}")
+            f"refusing exact enumeration for n={n} > {MAX_EXACT_VERTICES}")
     n_masks = (1 << (n - 1))  # masks over vertices 1..n-1; 0 stays out of S
     h_vals = np.array([spec.h(k) for k in h.kappa])
     totals = h.totals

@@ -60,15 +60,14 @@ class WeightedGraph:
         return d
 
 
-def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec,
-                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> WeightedGraph:
+def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec) -> WeightedGraph:
     """Expand every hyperedge into a weighted clique.
 
     Only valid for the clique g profile; other profiles have no known
     graph-equivalent cut structure and raise UnsupportedReductionError.
     Contributions of different hyperedges to the same vertex pair accumulate.
     Expansion materializes Theta(|e|^2) pairs per hyperedge; a warning is
-    logged when the total exceeds `pair_budget`.
+    logged when the total exceeds `DEFAULT_PAIR_BUDGET`.
     """
     if spec.g_kind is not GKind.CLIQUE:
         raise UnsupportedReductionError(
@@ -77,10 +76,11 @@ def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     members, edge_of, gamma = h.memberships
     sizes = np.bincount(edge_of, minlength=h.n_hyperedges)
     total_pairs = int((sizes * (sizes - 1) // 2).sum())
-    if total_pairs > pair_budget:
+    if total_pairs > DEFAULT_PAIR_BUDGET:
         logger.warning(
             "clique expansion materializes %d vertex pairs "
-            "(budget %d); expect high memory use", total_pairs, pair_budget)
+            "(budget %d); expect high memory use", total_pairs,
+            DEFAULT_PAIR_BUDGET)
 
     # A = B diag(h(kappa)) B^T without its diagonal, B the n x m matrix of
     # the gamma values: one sparse product over the memberships

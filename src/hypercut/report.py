@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,12 +148,7 @@ def run_method(h: EdvwHypergraph, labels, method: str,
         "h_kind": spec.h_kind.value,
         "g_kind": spec.g_kind.value,
         "cardinality_recompute_kappa": cardinality_recompute_kappa,
-        "max_outer_iters": cfg.max_outer_iters,
-        "outer_tol": cfg.outer_tol,
-        "inner_max_iters": cfg.inner_max_iters,
-        "inner_tol": cfg.inner_tol,
-        "n_restarts": cfg.n_restarts,
-        "rng_seed": cfg.rng_seed,
+        **asdict(cfg),
     }
     return ClusteringReport(
         source=source, method=method, alpha=alpha,

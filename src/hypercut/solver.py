@@ -20,11 +20,11 @@ one depth share a single s-t max flow.  The previous iterate is returned
 whenever the candidate does not certify descent (non-positive objective), so
 the descent contract holds regardless of rounding.
 
-Outer iterates are additionally compared against the centered indicator
-vector of their own best threshold cut; whenever that indicator has a smaller
-R1 value (it never has a larger NCC, by the thresholding bound) it becomes
-the next iterate.  This keeps the descent guarantee intact and snaps the
-method onto exact cuts quickly.
+Every improving step moves to the centered indicator vector of the best
+threshold cut of the inner solution.  That indicator has R1 equal to the
+cut's NCC, and the best level set of a non-constant vector has NCC at most
+its R1 (the thresholding bound of Hein & Bühler, NIPS 2010), so the snap
+keeps the descent guarantee and puts the method on exact cuts at once.
 
 After such a snap the previous iterate is usually optimal for the next inner
 problem.  TV(u) - lam * <u, v> is the Lovász extension of the set function
@@ -60,6 +60,12 @@ _TINY = 1e-300
 
 #: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
 DENSE_CAP = 1500
+
+#: LOBPCG must reach ||L x - lam x|| <= RESIDUAL_TOL * ||L||
+RESIDUAL_TOL = 1e-8
+
+#: power-iteration steps of the operator norm estimate that scales it
+_NORM_ESTIMATE_ITERS = 80
 
 #: largest capacity scipy's max flow accepts; it returns flow 0 above it
 _INT32_MAX = np.iinfo(np.int32).max
@@ -97,23 +103,12 @@ class IpmIterate:
 class EigResult:
     """Approximate second eigenpair of the graph 1-Laplacian."""
 
-    x: np.ndarray        # final iterate of the selected restart, unit norm
+    x: np.ndarray        # final iterate of the restart, unit norm
     lam: float           # R1(x); the converged eigenvalue estimate
-    iters: int           # outer iterations of the selected restart
+    iters: int           # outer iterations of the restart
     converged: bool
     restart_index: int
-    trace: tuple         # IpmIterate sequence of the selected restart
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": [float(t) for t in self.x],
-            "lambda": float(self.lam),
-            "iters": int(self.iters),
-            "converged": bool(self.converged),
-            "restart_index": int(self.restart_index),
-            "trace": [{"lambda": it.lam, "threshold_ncc": it.threshold_ncc}
-                      for it in self.trace],
-        }
+    trace: tuple         # IpmIterate sequence of the restart
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,12 +393,12 @@ def optimal_threshold(x, h: EdvwHypergraph, spec: SubmodularWeightSpec) -> Parti
     return evaluate_partition(h, spec, _best_prefix(x, h.mu, prefix_cuts))
 
 
-def _operator_norm_estimate(lop, n: int, iters: int = 80) -> float:
+def _operator_norm_estimate(lop, n: int) -> float:
     rng = np.random.default_rng(0)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
     est = 1.0
-    for _ in range(iters):
+    for _ in range(_NORM_ESTIMATE_ITERS):
         y = lop @ x
         est = float(np.linalg.norm(y))
         if est <= _TINY:
@@ -419,14 +414,13 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0,
-                       residual_tol: float = 1e-8) -> np.ndarray:
+def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0) -> np.ndarray:
     """Eigenvector of the second-smallest eigenvalue of a symmetric PSD operator.
 
     `lap` is an ndarray, a sparse matrix or a LinearOperator whose kernel is
     spanned by `nullspace`.  Up to DENSE_CAP vertices it is materialized and
     solved exactly; larger problems use LOBPCG deflated against `nullspace`,
-    with the residual contract ||L x - lam x|| <= residual_tol * ||L||
+    with the residual contract ||L x - lam x|| <= RESIDUAL_TOL * ||L||
     verified (a violation raises SolverConvergenceError with diagnostics).
     A numerically zero second eigenvalue signals a disconnected operator.
     """
@@ -454,7 +448,7 @@ def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0,
 
     x = x / np.linalg.norm(x)
     residual = float(np.linalg.norm(lop @ x - lam * x))
-    if residual > residual_tol * norm_est:
+    if residual > RESIDUAL_TOL * norm_est:
         raise SolverConvergenceError(
             "eigensolver missed its residual contract",
             diagnostics={"residual": residual, "norm_estimate": norm_est,
@@ -474,25 +468,14 @@ def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
     return inv_sqrt_mu * y
 
 
-@dataclass(frozen=True, eq=False)
-class _RunOutcome:
-    x: np.ndarray
-    lam: float
-    iters: int
-    converged: bool
-    trace: tuple
-    partition: Partition
-
-
 def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
-             pattern: _FlowPattern) -> _RunOutcome:
+             pattern: _FlowPattern, index: int) -> EigResult:
     mu = g.mu
     x = _center_normalize(x0, mu)
     if x is None:
         raise ValueError("initial vector is constant")
     lam = graph_r1(g, x)
-    part = graph_threshold_partition(x, g)
-    trace = [IpmIterate(lam, part.ncc)]
+    trace = [IpmIterate(lam, graph_threshold_partition(x, g).ncc)]
     converged = False
     iters = 0
     for k in range(cfg.max_outer_iters):
@@ -502,22 +485,12 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
         if not inner.improved:
             converged = True
             break
-        cand = _center_normalize(inner.x, mu)
-        if cand is None:
-            converged = True
-            break
-        lam_cand = graph_r1(g, cand)
-        part_cand = graph_threshold_partition(cand, g)
-        # cut-improvement step: the centered indicator of the best threshold
-        # set has R1 equal to that cut's NCC and never loses to the candidate
-        # by more than the thresholding bound allows; it wins ties, which a
-        # two-level candidate (the same cut, rounded) often makes
-        indicator = _center_normalize(part_cand.side_of.astype(np.float64), mu)
-        lam_ind = graph_r1(g, indicator) if indicator is not None else np.inf
-        if lam_ind <= lam_cand:
-            nxt, lam_next = indicator, lam_ind
-        else:
-            nxt, lam_next = cand, lam_cand
+        # an improving inner solution is non-constant; the centered indicator
+        # of its best level set has R1 equal to that cut's NCC, which the
+        # thresholding bound keeps at or below R1 of the solution itself
+        part = graph_threshold_partition(inner.x, g)
+        nxt = _center_normalize(part.side_of.astype(np.float64), mu)
+        lam_next = graph_r1(g, nxt)
         if lam_next > lam + 1e-10:
             logger.warning("IPM descent violated (%.3e -> %.3e); stopping",
                            lam, lam_next)
@@ -525,14 +498,11 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, cfg: IpmConfig,
             break
         drop = lam - lam_next
         x, lam = nxt, lam_next
-        part = graph_threshold_partition(x, g)
         trace.append(IpmIterate(lam, part.ncc))
         if drop <= cfg.outer_tol * max(lam, _TINY):
             converged = True
             break
-    lam = graph_r1(g, x)  # keep (x, lam) exactly consistent
-    return _RunOutcome(x, lam, iters, converged, tuple(trace),
-                       graph_threshold_partition(x, g))
+    return EigResult(x, lam, iters, converged, index, tuple(trace))
 
 
 def _usable_cpus() -> int:
@@ -586,7 +556,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
                 i, x0 = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, cfg, pattern)
+            outcomes[i] = _ipm_run(g, x0, cfg, pattern, i)
 
     # this thread is one of the workers: each extra thread keeps a malloc
     # arena as large as its max-flow buffers after the pool is gone
@@ -597,7 +567,5 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
         for fut in helpers:
             fut.result()
 
-    best = min(range(len(outcomes)),
-               key=lambda i: (outcomes[i].partition.ncc, i))
-    out = outcomes[best]
-    return EigResult(out.x, out.lam, out.iters, out.converged, best, out.trace)
+    return min(outcomes, key=lambda r: (r.trace[-1].threshold_ncc,
+                                        r.restart_index))

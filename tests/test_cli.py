@@ -203,16 +203,6 @@ def test_sweep_rows_and_alpha_zero_equivalence(toy_news_dir, tmp_path):
         assert flat["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
 
 
-def test_sweep_parallel_matches_serial(toy_news_dir, tmp_path):
-    a, b = tmp_path / "ser", tmp_path / "par"
-    argv = ["sweep", "--dataset", "newsgroups", "--data-dir", toy_news_dir,
-            "--alphas", "0,1", "--methods", "edvw-1lap", "--out-prefix"]
-    run(argv + [a])
-    run(argv + [b, "--jobs", "2"])
-    assert (tmp_path / "ser.json").read_bytes() == \
-        (tmp_path / "par.json").read_bytes()
-
-
 def test_oracle_subcommand(h0_file, capsys):
     assert run(["oracle", "--input", h0_file]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypercut.core
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       cut_weight, evaluate_partition, lovasz_extension,
                       r1_functional, submodular_weight, theta_and_degree,
@@ -183,23 +184,32 @@ def test_theta_minsplit_closest_achievable_sum(spec_minsplit):
         assert theta[0] == pytest.approx(min(a_star, total - a_star), rel=1e-12)
 
 
-def test_theta_greedy_never_exceeds_exact():
+def exact_and_greedy_theta(monkeypatch, h, spec):
+    """theta_and_degree's theta at the default cap (exact for up to 16
+    members) and with every hyperedge above the cap (greedy)."""
+    exact, _ = theta_and_degree(h, spec)
+    with monkeypatch.context() as m:
+        m.setattr(hypercut.core, "DEFAULT_EXACT_CAP", 1)
+        greedy, _ = theta_and_degree(h, spec)
+    return exact, greedy
+
+
+def test_theta_greedy_never_exceeds_exact(monkeypatch):
     rng = np.random.default_rng(11)
     for spec in SPECS:
         for _ in range(25):
             k = int(rng.integers(2, 11))
             gam = rng.uniform(0.1, 3.0, size=k)
             h = EdvwHypergraph(k, [list(range(k))], [gam], [2.0])
-            exact, _ = theta_and_degree(h, spec, exact_cap=16)
-            greedy, _ = theta_and_degree(h, spec, exact_cap=1)
+            exact, greedy = exact_and_greedy_theta(monkeypatch, h, spec)
             assert greedy[0] <= exact[0] * (1 + 1e-12)
 
 
-def test_theta_greedy_matches_exact_when_split_is_optimal(spec_clique):
+def test_theta_greedy_matches_exact_when_split_is_optimal(monkeypatch,
+                                                          spec_clique):
     # equal gammas make the greedy alternation optimal
     h = EdvwHypergraph(4, [[0, 1, 2, 3]], [[1.0, 1.0, 1.0, 1.0]], [1.0])
-    exact, _ = theta_and_degree(h, spec_clique, exact_cap=16)
-    greedy, _ = theta_and_degree(h, spec_clique, exact_cap=1)
+    exact, greedy = exact_and_greedy_theta(monkeypatch, h, spec_clique)
     assert greedy[0] == exact[0] == 4.0  # 2 * (4 - 2)
 
 

@@ -63,7 +63,7 @@ def test_exact_h2_agrees_with_graph_enumeration():
 def test_exact_h2_refuses_large_instances():
     h = random_instance(0, n=21, m=12)
     with pytest.raises(ValueError):
-        exact_h2(h, CLIQUE, max_vertices=20)
+        exact_h2(h, CLIQUE)  # MAX_EXACT_VERTICES is 20
 
 
 def test_random_instance_deterministic():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import hypercut.reduction
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       clique_expand, cut_weight, export_matrix_market,
                       graph_cut, graph_total_variation, lovasz_extension)
@@ -142,19 +143,22 @@ def test_clique_expand_matches_loop_reference():
             assert np.all(np.abs(got.data - ref.data) <= 1e-15 * ref.data)
 
 
-def test_pair_budget_warning(h0, spec_clique, caplog):
+def test_pair_budget_warning(h0, spec_clique, caplog, monkeypatch):
+    monkeypatch.setattr(hypercut.reduction, "DEFAULT_PAIR_BUDGET", 1)
     with caplog.at_level("WARNING"):
-        clique_expand(h0, spec_clique, pair_budget=1)
+        clique_expand(h0, spec_clique)
     assert any("pairs" in r.message for r in caplog.records)
     # one hyperedge of 3 members and one of 2: 3 + 1 pairs
     h = EdvwHypergraph(4, [[0, 1, 2], [2, 3]], [[1.0, 1.0, 1.0], [1.0, 1.0]],
                        [1.0, 1.0])
     caplog.clear()
+    monkeypatch.setattr(hypercut.reduction, "DEFAULT_PAIR_BUDGET", 4)
     with caplog.at_level("WARNING"):
-        clique_expand(h, spec_clique, pair_budget=4)
+        clique_expand(h, spec_clique)
     assert not caplog.records
+    monkeypatch.setattr(hypercut.reduction, "DEFAULT_PAIR_BUDGET", 3)
     with caplog.at_level("WARNING"):
-        clique_expand(h, spec_clique, pair_budget=3)
+        clique_expand(h, spec_clique)
     assert [r.getMessage().split()[3] for r in caplog.records] == ["4"]
 
 
