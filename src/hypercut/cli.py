@@ -36,18 +36,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--restarts", type=int, default=5,
                    help="IPM restarts (first one is spectrally initialized)")
-    p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument("--outer-tol", type=float, default=1e-6)
-    p.add_argument("--inner-max", type=int, default=2000,
-                   help="inert: the inner solve is exact; still accepted")
-    p.add_argument("--inner-tol", type=float, default=1e-8,
-                   help="inert: the inner solve is exact; still accepted")
 
 
 def _cfg_from_args(args) -> IpmConfig:
-    return IpmConfig(max_outer_iters=args.max_outer, outer_tol=args.outer_tol,
-                     inner_max_iters=args.inner_max, inner_tol=args.inner_tol,
-                     n_restarts=args.restarts, rng_seed=args.seed)
+    return IpmConfig(n_restarts=args.restarts, rng_seed=args.seed)
 
 
 def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:

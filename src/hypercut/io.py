@@ -40,7 +40,7 @@ def to_json_dict(h: EdvwHypergraph) -> dict:
     }
 
 
-def from_json_dict(obj: dict, check_connected: bool = True) -> EdvwHypergraph:
+def from_json_dict(obj: dict) -> EdvwHypergraph:
     try:
         edges = obj["hyperedges"]
         return EdvwHypergraph(
@@ -49,7 +49,6 @@ def from_json_dict(obj: dict, check_connected: bool = True) -> EdvwHypergraph:
             [e["gamma"] for e in edges],
             [e["kappa"] for e in edges],
             obj.get("mu"),
-            check_connected=check_connected,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise HypergraphFormatError(f"bad hypergraph JSON: {exc}") from exc
@@ -71,7 +70,7 @@ def write_hypergraph(h: EdvwHypergraph, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_text(text: str, check_connected: bool) -> EdvwHypergraph:
+def _parse_text(text: str) -> EdvwHypergraph:
     rows = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
     rows = [(ln, s) for ln, s in rows if s and not s.startswith("#")]
     if not rows:
@@ -116,13 +115,12 @@ def _parse_text(text: str, check_connected: bool) -> EdvwHypergraph:
                 f"line {ln}: bad vertex-weight section") from exc
 
     try:
-        return EdvwHypergraph(n, edges, gammas, kappas, mu,
-                              check_connected=check_connected)
+        return EdvwHypergraph(n, edges, gammas, kappas, mu)
     except ValueError as exc:
         raise HypergraphFormatError(f"invalid hypergraph: {exc}") from exc
 
 
-def read_hypergraph(path, check_connected: bool = True) -> EdvwHypergraph:
+def read_hypergraph(path) -> EdvwHypergraph:
     """Read text or JSON depending on the file suffix (.json selects JSON)."""
     path = Path(path)
     try:
@@ -134,5 +132,5 @@ def read_hypergraph(path, check_connected: bool = True) -> EdvwHypergraph:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise HypergraphFormatError(f"bad JSON in {path}: {exc}") from exc
-        return from_json_dict(obj, check_connected=check_connected)
-    return _parse_text(text, check_connected)
+        return from_json_dict(obj)
+    return _parse_text(text)

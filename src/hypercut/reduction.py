@@ -18,7 +18,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .core import EdvwHypergraph, GKind, SubmodularWeightSpec, as_subset_mask
+from .core import (EdvwHypergraph, GKind, SubmodularWeightSpec, _checked_mu,
+                   as_subset_mask)
 from .errors import UnsupportedReductionError
 
 logger = logging.getLogger(__name__)
@@ -36,11 +37,7 @@ class WeightedGraph:
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).copy()
-        if mu.size != self.n_vertices or not np.all(mu > 0.0):
-            raise ValueError("mu must be positive and match n_vertices")
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _checked_mu(self.mu, self.n_vertices))
 
     @cached_property
     def edges(self):

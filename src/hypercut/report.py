@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -82,9 +81,6 @@ class ClusteringReport:
     def to_json(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_dict(include_timings),
                           indent=2, sort_keys=True) + "\n"
-
-    def save(self, path, include_timings: bool = False) -> None:
-        Path(path).write_text(self.to_json(include_timings))
 
 
 def run_method(h: EdvwHypergraph, labels, method: str,

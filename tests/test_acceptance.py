@@ -18,13 +18,14 @@ import pytest
 
 from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       SubmodularWeightSpec, clique_expand, exact_h2,
-                      graph_total_variation, ipm_second_eigvec,
-                      lovasz_extension, optimal_threshold, random_instance,
-                      submodular_weight, with_degree_mu, write_hypergraph)
+                      ipm_second_eigvec, lovasz_extension, optimal_threshold,
+                      random_instance, submodular_weight, with_degree_mu,
+                      write_hypergraph)
 from hypercut.cli import main as cli_main
 from hypercut.datasets import (BinningSpec, CorpusSpec,
                                build_covertype_hypergraph,
                                build_newsgroups_hypergraph)
+from hypercut.reduction import graph_total_variation
 from hypercut.report import run_method
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)

@@ -85,10 +85,6 @@ def test_cluster_report_self_contained(h0_file, tmp_path):
          "--mu", cfgecho["mu_mode"],
          "--seed", cfgecho["rng_seed"],
          "--restarts", cfgecho["n_restarts"],
-         "--max-outer", cfgecho["max_outer_iters"],
-         "--outer-tol", cfgecho["outer_tol"],
-         "--inner-max", cfgecho["inner_max_iters"],
-         "--inner-tol", cfgecho["inner_tol"],
          "--out", out2])
     rerun = json.loads(out2.read_text())
     assert rerun["ncc"] == report["ncc"]

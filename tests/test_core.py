@@ -9,9 +9,10 @@ import hypercut.core
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       cut_weight, evaluate_partition, lovasz_extension,
                       r1_functional, submodular_weight, theta_and_degree,
-                      volume, weighted_median, with_degree_mu)
+                      volume, with_degree_mu)
 from hypercut.core import (connected_component_labels, cut_increments,
-                           sweep_order, weighted_median_interval)
+                           sweep_order, weighted_median,
+                           weighted_median_interval)
 from hypercut.errors import DisconnectedGraphError
 from hypercut.oracle import random_instance
 

@@ -123,7 +123,7 @@ text_docs = st.tuples(
 @example("1000000000000 1\n1.0 0:1.0 1:1.0\n")  # vertices in no hyperedge
 def test_text_reader_raises_only_format_errors(text):
     try:
-        _parse_text(text, check_connected=True)
+        _parse_text(text)
     except HypergraphFormatError:
         pass
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
-                      clique_expand, evaluate_partition, exact_h2, graph_cut,
+                      clique_expand, evaluate_partition, exact_h2,
                       random_instance, with_degree_mu)
+from hypercut.reduction import graph_cut
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 

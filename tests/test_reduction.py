@@ -8,9 +8,11 @@ from scipy.sparse.csgraph import connected_components
 import hypercut.reduction
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       clique_expand, cut_weight, export_matrix_market,
-                      graph_cut, graph_total_variation, lovasz_extension)
+                      lovasz_extension)
 from hypercut.errors import UnsupportedReductionError
 from hypercut.oracle import random_instance
+from hypercut.reduction import (WeightedGraph, graph_cut,
+                                graph_total_variation)
 
 
 def sum_lovasz(h, spec, x):
@@ -38,6 +40,16 @@ def test_parallel_hyperedges_accumulate(spec_clique):
                        [2.0, 5.0])
     a = clique_expand(h, spec_clique).adjacency.toarray()
     assert a[0, 1] == 7.0  # kappa1 + kappa2 under h = identity
+
+
+@pytest.mark.parametrize("mu", [[1.0, 0.0, 1.0], [1.0, -2.0, 1.0],
+                                [1.0, np.inf, 1.0], [1.0, np.nan, 1.0],
+                                [1.0, 1.0]],
+                         ids=["zero", "negative", "inf", "nan", "short"])
+def test_weighted_graph_rejects_bad_mu(mu):
+    k3 = sp.csr_array(np.ones((3, 3)) - np.eye(3))
+    with pytest.raises(ValueError, match="mu"):
+        WeightedGraph(3, k3, mu)
 
 
 def test_min_split_has_no_expansion(h0, spec_minsplit):
