@@ -129,5 +129,4 @@ def cardinality_variant(h: EdvwHypergraph,
                           for ms in h.hyperedges])
     else:
         kappa = h.kappa
-    return EdvwHypergraph(h.n_vertices, h.hyperedges, ones, kappa, h.mu,
-                          check_connected=False)
+    return EdvwHypergraph(h.n_vertices, h.hyperedges, ones, kappa, h.mu)

@@ -72,6 +72,29 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _read_sidecar(path: Path, n_vertices: int) -> tuple:
+    """Labels (None when absent) and the other provenance of a `build` sidecar."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # bad JSON and UTF-8 are ValueErrors
+        raise DataIngestError(
+            f"unreadable provenance sidecar {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataIngestError(f"provenance sidecar {path} is not a JSON object")
+    labels = payload.pop("labels", None)
+    if labels is None:
+        return None, payload
+    if (not isinstance(labels, list) or len(labels) != n_vertices
+            or not all(type(v) is int for v in labels)):
+        raise DataIngestError(
+            f"provenance sidecar {path}: labels must be {n_vertices} integers")
+    try:
+        return np.array(labels, dtype=np.int64), payload
+    except OverflowError as exc:
+        raise DataIngestError(
+            f"provenance sidecar {path}: label out of range") from exc
+
+
 def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
     cfg = _cfg_from_args(args)
     if args.input:
@@ -80,9 +103,7 @@ def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
         sidecar = Path(str(args.input) + ".provenance.json")
         provenance = {"input": str(args.input)}
         if sidecar.exists():
-            payload = json.loads(sidecar.read_text())
-            labels = np.asarray(payload.pop("labels", None))
-            labels = labels if labels.size == h.n_vertices else None
+            labels, payload = _read_sidecar(sidecar, h.n_vertices)
             provenance.update(payload)
         mu_mode = args.mu if args.mu else ("keep" if not np.all(h.mu == 1.0)
                                            else "degree")

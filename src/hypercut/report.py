@@ -94,9 +94,13 @@ def run_method(h: EdvwHypergraph, labels, method: str,
 
     `mu_mode` selects the vertex weights: "degree" (theta-degree, the default
     convention), "ones", or "keep" (whatever h carries, e.g. from a file).
+    `export_graph` names a matrix-market file for the clique expansion of the
+    1-Laplacian methods; rw-2lap builds none and refuses it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if export_graph and method == "rw-2lap":
+        raise ValueError("rw-2lap builds no clique expansion to export")
     cfg = cfg or IpmConfig()
     spec = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
     timings: dict = {}

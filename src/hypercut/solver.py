@@ -169,51 +169,27 @@ def _center_normalize(x, mu):
     return y / nrm
 
 
-@dataclass(frozen=True, eq=False)
-class _FlowPattern:
-    """Arc layout of the s-t network over a graph given in CSR form.
+def _network(indptr: np.ndarray, indices: np.ndarray, w: np.ndarray,
+             target: np.ndarray, scale: float) -> sp.csr_array:
+    """The s-t network over a graph in CSR form, scaled and floored to int32.
 
     Vertices 0..k-1 keep their ids, the source is k and the sink k + 1.  Row
-    v lists v's graph arcs in CSR order followed by its sink arc; the source
-    row lists one arc per vertex.  Indices stay sorted when the graph's are,
-    so scipy's max flow copies nothing to sort them.  Unused arcs get
-    capacity zero, so every network fills a data array of the same layout.
-    Restart threads share one pattern of the whole graph; scipy reads it
-    without writing but refuses read-only arrays.
+    v lists v's graph arcs of capacity w in CSR order, then its sink arc of
+    capacity -target_v where negative; the source row has an arc of capacity
+    target_v to each v where positive.  Indices stay sorted when the graph's
+    are, so scipy's max flow copies nothing to sort them.
     """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    graph_slots: np.ndarray   # data positions of the graph arcs
-    sink_slots: np.ndarray    # data position of arc v -> sink, per vertex
-
-    @classmethod
-    def of(cls, indptr: np.ndarray, indices: np.ndarray) -> "_FlowPattern":
-        k = indptr.size - 1
-        nnz = int(indptr[-1])
-        shift = np.arange(k + 1)
-        out_ptr = np.concatenate([indptr + shift,
-                                  [nnz + 2 * k] * 2]).astype(np.int32)
-        sink_slots = out_ptr[1:k + 1] - 1
-        graph_slots = np.arange(nnz) + np.repeat(shift[:k], np.diff(indptr))
-        out = np.empty(nnz + 2 * k, dtype=np.int32)
-        out[graph_slots] = indices
-        out[sink_slots] = k + 1
-        out[nnz + k:] = np.arange(k)
-        return cls(out_ptr, out, graph_slots, sink_slots)
-
-    def network(self, weights: np.ndarray, target: np.ndarray,
-                scale: float) -> sp.csr_array:
-        """The network with graph arcs of capacity w, source -> i of target_i
-        where positive and i -> sink of -target_i where negative, scaled and
-        floored to int32."""
-        k = target.size
-        data = np.empty(self.indices.size, dtype=np.int32)
-        data[self.graph_slots] = weights * scale   # non-negative: the cast floors
-        data[self.sink_slots] = np.maximum(-target, 0.0) * scale
-        data[-k:] = np.maximum(target, 0.0) * scale
-        return sp.csr_array((data, self.indices, self.indptr),
-                            shape=(k + 2, k + 2))
+    k = target.size
+    # the sink arcs end the rows and the source row follows the last
+    at = np.append(indptr[1:], np.full(k, indptr[-1]))
+    terminal = np.maximum(np.append(-target, target), 0.0)
+    # capacities are non-negative, so the casts floor them
+    data = np.insert((w * scale).astype(np.int32), at,
+                     (terminal * scale).astype(np.int32))
+    cols = np.insert(indices, at, np.append(np.full(k, k + 1), np.arange(k)))
+    ptr = np.append(indptr + np.arange(k + 1), [indptr[-1] + 2 * k] * 2)
+    return sp.csr_array((data, cols.astype(np.int32, copy=False),
+                         ptr.astype(np.int32)), shape=(k + 2, k + 2))
 
 
 def _source_side(net: sp.csr_array) -> tuple:
@@ -227,8 +203,7 @@ def _source_side(net: sp.csr_array) -> tuple:
     return result.flow_value, side[:k]
 
 
-def tv_prox(g: WeightedGraph, y, pattern: _FlowPattern | None = None
-            ) -> np.ndarray:
+def tv_prox(g: WeightedGraph, y) -> np.ndarray:
     """p = argmin_x TV(x) + 1/2 ||x - y||^2 by level-synchronous min cuts.
 
     The vertices are cut into pieces, first one piece holding them all.  A
@@ -245,7 +220,7 @@ def tv_prox(g: WeightedGraph, y, pattern: _FlowPattern | None = None
 
     The first round is the certificate network of the IPM: when its flow
     shows min F >= 0 up to one unit per arc, nothing splits and p is the
-    constant mean of y.  `pattern` is `_FlowPattern.of` the adjacency.
+    constant mean of y.
     """
     n = g.n_vertices
     adj = g.adjacency
@@ -263,11 +238,10 @@ def tv_prox(g: WeightedGraph, y, pattern: _FlowPattern | None = None
         if top == 0.0:
             break                                 # F(S) = cut(S) >= 0
         scale = _INT32_MAX / top   # an arc and its reverse share a residual
-        if pattern is None or not first:
-            pattern = _FlowPattern.of(indptr, indices)
-        flow, side = _source_side(pattern.network(w, target, scale))
+        net = _network(indptr, indices, w, target, scale)
+        flow, side = _source_side(net)
         if first and (flow / scale - float(np.maximum(target, 0.0).sum())
-                      >= -(pattern.indices.size + 1) / scale):
+                      >= -(net.nnz + 1) / scale):
             break
         first = False
         rows = np.repeat(np.arange(k, dtype=np.int32), np.diff(indptr))
@@ -296,8 +270,7 @@ def tv_prox(g: WeightedGraph, y, pattern: _FlowPattern | None = None
     return (np.bincount(piece, y) / np.bincount(piece))[piece]
 
 
-def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None,
-                   pattern: _FlowPattern | None = None) -> InnerResult:
+def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None) -> InnerResult:
     """Minimize TV(x) - lam * <x, v> over the unit 2-norm ball.
 
     The minimizer is p / ||p|| for the prox p of TV at lam * v (`tv_prox`).
@@ -310,7 +283,7 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None,
     v = np.asarray(v, dtype=np.float64)
     x_prev = np.zeros(n) if x_prev is None else np.asarray(x_prev, dtype=np.float64)
     if lam > 0.0 and g.adjacency.nnz:
-        p = tv_prox(g, lam * v, pattern)
+        p = tv_prox(g, lam * v)
         if p.min() < p.max():
             x = p / np.linalg.norm(p)
             if graph_total_variation(g, x) - lam * float(x @ v) <= 0.0:
@@ -461,8 +434,7 @@ def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
     return inv_sqrt_mu * y
 
 
-def _ipm_run(g: WeightedGraph, x0: np.ndarray, pattern: _FlowPattern,
-             index: int) -> EigResult:
+def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int) -> EigResult:
     mu = g.mu
     x = _center_normalize(x0, mu)
     if x is None:
@@ -474,7 +446,7 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, pattern: _FlowPattern,
     for k in range(MAX_OUTER_ITERS):
         iters = k + 1
         v = median_subgradient(x, mu)
-        inner = inner_tv_solve(g, v, lam, x_prev=x, pattern=pattern)
+        inner = inner_tv_solve(g, v, lam, x_prev=x)
         if not inner.improved:
             converged = True
             break
@@ -538,7 +510,6 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
 
     # cached_property is not thread-safe: fill the caches before the pool
     g.edges, g.weighted_degrees
-    pattern = _FlowPattern.of(g.adjacency.indptr, g.adjacency.indices)
     pending = queue.SimpleQueue()
     for item in enumerate(inits):
         pending.put(item)
@@ -550,7 +521,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
                 i, x0 = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, pattern, i)
+            outcomes[i] = _ipm_run(g, x0, i)
 
     # this thread is one of the workers: each extra thread keeps a malloc
     # arena as large as its max-flow buffers after the pool is gone

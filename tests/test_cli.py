@@ -98,6 +98,35 @@ def test_cluster_export_graph(h0_file, tmp_path):
     assert "symmetric" in mtx.read_text().splitlines()[0]
 
 
+def test_cluster_export_graph_refused_without_clique_expansion(h0_file, tmp_path):
+    mtx = tmp_path / "graph.mtx"
+    assert run(["cluster", "--input", h0_file, "--method", "rw-2lap",
+                "--export-graph", mtx]) == 2
+    assert not mtx.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"labels": [0, 1]}',
+    '{"labels": [0, 1, 1], "seed"',
+    '[1, 2]',
+    '{"labels": [0, 1, "x"]}',
+    '{"labels": [0, 1, 1.5]}',
+    '{"labels": [0, 1, 100000000000000000000]}',
+], ids=["short", "truncated", "not-object", "string", "float", "overflow"])
+def test_cluster_bad_sidecar_is_data_error(h0_file, text, capsys):
+    (h0_file.parent / "h0.hg.provenance.json").write_text(text)
+    assert run(["cluster", "--input", h0_file]) == 3
+    assert "provenance sidecar" in capsys.readouterr().err
+
+
+def test_cluster_sidecar_without_labels(h0_file, capsys):
+    (h0_file.parent / "h0.hg.provenance.json").write_text('{"seed": 5}')
+    assert run(["cluster", "--input", h0_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] is None
+    assert report["provenance"]["seed"] == 5
+
+
 def test_cluster_missing_input_is_data_error(tmp_path):
     assert run(["cluster", "--input", tmp_path / "absent.hg"]) == 3
 

@@ -48,12 +48,10 @@ def test_rejects_bad_inputs():
     assert h.n_vertices == 3 and h.hyperedges[0].dtype == np.int64
 
 
-def test_rejects_disconnected_unless_asked():
+def test_rejects_disconnected():
     edges, gams, kap = [[0, 1], [2, 3]], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]
     with pytest.raises(DisconnectedGraphError):
         EdvwHypergraph(4, edges, gams, kap)
-    h = EdvwHypergraph(4, edges, gams, kap, check_connected=False)
-    assert h.n_hyperedges == 2
     # a vertex count above the membership count is refused before any
     # length-n allocation
     with pytest.raises(DisconnectedGraphError, match="no hyperedge"):

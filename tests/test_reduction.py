@@ -28,11 +28,13 @@ def test_adjacency_examples(h0, spec_clique):
 
 
 def test_disjoint_hyperedges_give_block_diagonal(spec_clique):
-    h = EdvwHypergraph(4, [[0, 1], [2, 3]], [[1.0, 2.0], [3.0, 4.0]],
-                       [1.0, 1.0], check_connected=False)
+    # the bridge {1, 2} keeps the hypergraph connected and adds the one
+    # entry outside the blocks of {0, 1} and {2, 3}
+    h = EdvwHypergraph(4, [[0, 1], [2, 3], [1, 2]],
+                       [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]], [1.0, 1.0, 1.0])
     a = clique_expand(h, spec_clique).adjacency.toarray()
-    assert a[0, 2] == a[0, 3] == a[1, 2] == a[1, 3] == 0.0
-    assert a[0, 1] == 2.0 and a[2, 3] == 12.0
+    assert a[0, 2] == a[0, 3] == a[1, 3] == 0.0
+    assert a[0, 1] == 2.0 and a[2, 3] == 12.0 and a[1, 2] == 0.25
 
 
 def test_parallel_hyperedges_accumulate(spec_clique):
@@ -72,9 +74,8 @@ def test_graph_cut_examples(h0, spec_clique):
     g = clique_expand(h0, spec_clique)
     assert graph_cut(g, [0]) == 5.0
     assert graph_cut(g, [2]) == 9.0
-    blocks = EdvwHypergraph(4, [[0, 1], [2, 3]], [[1.0, 1.0], [1.0, 1.0]],
-                            [1.0, 1.0], check_connected=False)
-    gb = clique_expand(blocks, spec_clique)
+    blocks = sp.csr_array(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
+    gb = WeightedGraph(4, blocks, np.ones(4))
     assert graph_cut(gb, [0, 1]) == 0.0
     with pytest.raises(ValueError):
         graph_cut(g, [])
@@ -136,15 +137,11 @@ def clique_expand_loop(h, spec) -> sp.csr_array:
 
 
 def test_clique_expand_matches_loop_reference():
-    # overlapping hyperedges, wide gamma and kappa ranges, and a vertex in
-    # no hyperedge (an empty row and no diagonal entry to remove)
+    # overlapping hyperedges and wide gamma and kappa ranges
     instances = [random_instance(seed, n=4 + seed % 9, m=2 + seed % 6,
                                  gamma_range=(0.01, 100.0),
                                  kappa_range=(0.01, 100.0), max_size=6)
                  for seed in range(40)]
-    instances.append(EdvwHypergraph(5, [[0, 1, 2], [1, 3], [0, 1, 3]],
-                                    [[1.0, 2.0, 3.0], [0.5, 4.0], [3.0, 1.0, 7.0]],
-                                    [1.0, 2.5, 0.3], check_connected=False))
     for h in instances:
         for h_kind in (HKind.IDENTITY, HKind.CONSTANT_ONE):
             spec = SubmodularWeightSpec(h_kind, GKind.CLIQUE)

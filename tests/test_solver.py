@@ -124,6 +124,35 @@ def test_tv_prox_level_sets_minimize_cut_functions():
             assert f_level <= f.min() + 1e-9 * magnitude, (case, t)
 
 
+def test_network_matches_loop_reference():
+    # empty rows first, in the middle (two in a row, so row ends repeat)
+    # and last; targets of both signs and zero
+    for case in range(60):
+        rng = np.random.default_rng(case)
+        k = int(rng.integers(5, 14))
+        dense = np.triu(rng.uniform(0.1, 3.0, (k, k))
+                        * (rng.random((k, k)) < 0.5), 1)
+        dense += dense.T
+        dense[[0, k // 2, k // 2 + 1, k - 1]] = 0.0
+        adj = sp.csr_array(dense)
+        target = rng.standard_normal(k) * (rng.random(k) < 0.8)
+        scale = np.iinfo(np.int32).max / max(2.0 * dense.max(),
+                                              float(np.abs(target).max()))
+        net = hypercut.solver._network(adj.indptr, adj.indices, adj.data,
+                                       target, scale)
+        ref = np.zeros((k + 2, k + 2), dtype=np.int64)
+        for v in range(k):
+            for j in range(adj.indptr[v], adj.indptr[v + 1]):
+                ref[v, adj.indices[j]] = np.floor(adj.data[j] * scale)
+            ref[v, k + 1] = np.floor(max(-target[v], 0.0) * scale)
+            ref[k, v] = np.floor(max(target[v], 0.0) * scale)
+        assert net.shape == (k + 2, k + 2)
+        assert net.data.dtype == net.indices.dtype == net.indptr.dtype == np.int32
+        assert net.has_sorted_indices
+        assert np.array_equal(net.toarray(), ref), case
+        assert net.nnz == adj.nnz + 2 * k
+
+
 # ---------------------------------------------------------------------------
 # inverse power method
 # ---------------------------------------------------------------------------
