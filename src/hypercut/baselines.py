@@ -63,20 +63,6 @@ class RwLaplacian:
         return spla.LinearOperator((n, n), matvec=apply, rmatvec=apply,
                                    matmat=apply, rmatmat=apply, dtype=np.float64)
 
-    def diagnostics(self) -> dict:
-        """JSON-serializable sanity numbers for the walk construction."""
-        ones = np.ones(self.n_vertices)
-        row_sums = self.p_ve @ (self.p_ev @ ones)
-        pi_next = self.p_ev.T @ (self.p_ve.T @ self.pi)
-        return {
-            "n_vertices": int(self.n_vertices),
-            "n_hyperedges": int(self.p_ve.shape[1]),
-            "row_sum_max_error": float(np.max(np.abs(row_sums - 1.0))),
-            "pi_fixed_point_residual": float(np.abs(pi_next - self.pi).sum()),
-            "pi_min": float(self.pi.min()),
-            "pi": [float(p) for p in self.pi],
-        }
-
 
 def build_rw_laplacian(h: EdvwHypergraph) -> RwLaplacian:
     """Assemble the two-step walk and its stationary distribution.
@@ -117,16 +103,13 @@ def cardinality_variant(h: EdvwHypergraph,
                         recompute_kappa_std: bool = False) -> EdvwHypergraph:
     """Copy of h with every member EDVW replaced by one.
 
-    With `recompute_kappa_std` the hyperedge strengths are refreshed with the
-    membership-indicator standard deviation over all vertices (the rule the
-    dataset builders use); otherwise kappa is kept.  Idempotent either way.
+    With `recompute_kappa_std` the hyperedge strengths are recomputed from the
+    membership indicators by `kappa_from_std`, the rule the dataset builders
+    use; otherwise kappa is kept.  Idempotent either way.
     """
     from .datasets import kappa_from_std  # local import; datasets builds on core
 
     ones = [np.ones(ms.size) for ms in h.hyperedges]
-    if recompute_kappa_std:
-        kappa = np.array([kappa_from_std(ms, np.ones(ms.size), h.n_vertices)
-                          for ms in h.hyperedges])
-    else:
-        kappa = h.kappa
+    kappa = (kappa_from_std(h.hyperedges, ones, h.n_vertices)
+             if recompute_kappa_std else h.kappa)
     return EdvwHypergraph(h.n_vertices, h.hyperedges, ones, kappa, h.mu)

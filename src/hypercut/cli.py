@@ -45,12 +45,10 @@ def _cfg_from_args(args) -> IpmConfig:
 def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:
     if args.dataset == "newsgroups":
         return datasets.build_newsgroups_hypergraph(
-            args.data_dir, datasets.CorpusSpec(), alpha,
-            kappa_members_only=args.kappa_members_only)
+            args.data_dir, datasets.CorpusSpec(), alpha)
     if args.dataset == "covertype":
         return datasets.build_covertype_hypergraph(
-            args.data_dir, datasets.BinningSpec(), alpha,
-            kappa_members_only=args.kappa_members_only)
+            args.data_dir, datasets.BinningSpec(), alpha)
     raise DataIngestError(f"unknown dataset {args.dataset!r}")
 
 
@@ -89,10 +87,14 @@ def _read_sidecar(path: Path, n_vertices: int) -> tuple:
         raise DataIngestError(
             f"provenance sidecar {path}: labels must be {n_vertices} integers")
     try:
-        return np.array(labels, dtype=np.int64), payload
+        labels = np.array(labels, dtype=np.int64)
     except OverflowError as exc:
         raise DataIngestError(
             f"provenance sidecar {path}: label out of range") from exc
+    if np.unique(labels).size > 2:
+        raise DataIngestError(
+            f"provenance sidecar {path}: labels name more than two classes")
+    return labels, payload
 
 
 def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
@@ -140,7 +142,8 @@ def cmd_sweep(args) -> int:
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for mth in methods:
         if mth not in METHODS:
-            raise DataIngestError(f"unknown method {mth!r}")
+            raise ValueError(f"unknown method {mth!r}; "
+                             f"expected one of {METHODS}")
     reports = [_cluster_once(args, method, alpha)
                for alpha in alphas for method in methods]
 
@@ -204,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default="data")
     p.add_argument("--out", required=True,
                    help="output path (.json selects the JSON mirror format)")
-    p.add_argument("--kappa-members-only", action="store_true",
-                   help="std rule over members instead of all vertices")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("cluster", help="run one clustering method")
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", choices=["degree", "ones", "keep"], default=None,
                    help="vertex weights (default: degree; file inputs with "
                         "explicit weights default to keep)")
-    p.add_argument("--kappa-members-only", action="store_true")
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the report "
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", help=f"comma-separated subset of {METHODS}")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--mu", choices=["degree", "ones"], default="degree")
-    p.add_argument("--kappa-members-only", action="store_true")
     p.add_argument("--out-prefix", required=True)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep, input=None)

@@ -95,32 +95,26 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _edvw_std(members, values, n_vertices: int, members_only: bool) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    if members_only:
-        return float(values.std())
-    dense = np.zeros(n_vertices)
-    dense[np.asarray(members, dtype=np.int64)] = values
-    return float(dense.std())
+def kappa_from_std(hyperedges, gammas, n_vertices: int) -> np.ndarray:
+    """Hyperedge strengths: population std of each EDVW vector.
 
-
-def kappa_from_std(members, values, n_vertices: int,
-                   members_only: bool = False) -> float:
-    """Hyperedge strength: population std of the EDVW vector.
-
-    By default the vector ranges over all vertices with zeros for
-    non-members; `members_only` restricts it to the members.  Floored at
-    1e-12 so kappa stays positive for constant vectors.
+    The vector of a hyperedge ranges over all vertices, with zeros for
+    non-members.  Floored at `KAPPA_FLOOR` so kappa stays positive for
+    constant vectors; one warning counts the floored hyperedges.
     """
-    std = _edvw_std(members, values, n_vertices, members_only)
-    if std < KAPPA_FLOOR:
-        logger.warning("constant EDVW vector; kappa floored at %g", KAPPA_FLOOR)
-        return KAPPA_FLOOR
-    return std
+    std = np.empty(len(hyperedges))
+    for e, (ms, gs) in enumerate(zip(hyperedges, gammas)):
+        dense = np.zeros(n_vertices)
+        dense[ms] = gs
+        std[e] = dense.std()
+    low = std < KAPPA_FLOOR
+    if low.any():
+        logger.warning("%d constant EDVW vectors; kappa floored at %g",
+                       int(low.sum()), KAPPA_FLOOR)
+    return np.where(low, KAPPA_FLOOR, std)
 
 
-def _finalize_hypergraph(n_vertices, edges, gammas, labels,
-                         kappa_members_only, provenance):
+def _finalize_hypergraph(n_vertices, edges, gammas, labels, provenance):
     """Drop degenerate hyperedges, restrict to the largest component,
     compute kappas and assemble the final hypergraph."""
     kept = [(e, g) for e, g in zip(edges, gammas) if len(e) >= 2]
@@ -154,28 +148,14 @@ def _finalize_hypergraph(n_vertices, edges, gammas, labels,
         labels = labels[keep_mask]
         n_vertices = int(keep_mask.sum())
 
-    def floored_kappas(members_only):
-        std = np.array([_edvw_std(ms, gs, n_vertices, members_only)
-                        for ms, gs in zip(edges, gammas)])
-        low = std < KAPPA_FLOOR
-        return np.where(low, KAPPA_FLOOR, std), int(low.sum())
-
-    kappa, n_floored = floored_kappas(kappa_members_only)
-    if n_floored:
-        logger.warning("%d constant EDVW vectors; kappa floored at %g",
-                       n_floored, KAPPA_FLOOR)
-    # record how far the literal all-vertex std rule sits from members-only;
-    # that rule is not used, so its floors are counted but not logged
-    alt, n_alt_floored = floored_kappas(not kappa_members_only)
+    kappa = kappa_from_std(edges, gammas, n_vertices)
     provenance.update({
         "n_vertices": n_vertices,
         "n_hyperedges": len(edges),
         "dropped_degenerate_hyperedges": dropped,
         "n_components_before_restrict": n_comp,
-        "kappa_rule": "members-only-std" if kappa_members_only else "all-vertex-std",
-        "kappa_floored": n_floored,
-        "kappa_alt_rule_mean_ratio": float(np.mean(alt / kappa)),
-        "kappa_alt_rule_floored": n_alt_floored,
+        "kappa_rule": "all-vertex-std",
+        "kappa_floored": int(np.count_nonzero(kappa == KAPPA_FLOOR)),
     })
     h = EdvwHypergraph(n_vertices, edges, gammas, kappa)
     return DatasetBuild(h, np.asarray(labels, dtype=np.int64), provenance)
@@ -186,8 +166,7 @@ def _finalize_hypergraph(n_vertices, edges, gammas, labels,
 # ---------------------------------------------------------------------------
 
 def build_newsgroups_from_documents(documents, labels, spec: CorpusSpec,
-                                    alpha: float,
-                                    kappa_members_only: bool = False) -> DatasetBuild:
+                                    alpha: float) -> DatasetBuild:
     """Core document-word pipeline on already-tokenized documents.
 
     Steps: document-frequency bounds and stopword removal over the full
@@ -270,7 +249,7 @@ def build_newsgroups_from_documents(documents, labels, spec: CorpusSpec,
         "dropped_zero_tfidf_memberships": zero_tfidf,
     }
     return _finalize_hypergraph(n_kept, edges, gammas, labels[keep_docs],
-                                kappa_members_only, provenance)
+                                provenance)
 
 
 def _read_newsgroup_archive(archive: Path, categories) -> tuple:
@@ -290,8 +269,8 @@ def _read_newsgroup_archive(archive: Path, categories) -> tuple:
     return docs, np.asarray(labels, dtype=np.int64)
 
 
-def build_newsgroups_hypergraph(data_dir, spec: CorpusSpec, alpha: float,
-                                kappa_members_only: bool = False) -> DatasetBuild:
+def build_newsgroups_hypergraph(data_dir, spec: CorpusSpec,
+                                alpha: float) -> DatasetBuild:
     """Build the document-word hypergraph from the raw newsgroup archive."""
     archive = Path(data_dir) / "20news-bydate.tar.gz"
     if not archive.exists():
@@ -299,8 +278,7 @@ def build_newsgroups_hypergraph(data_dir, spec: CorpusSpec, alpha: float,
             f"missing {archive}; run `hypercut fetch newsgroups` first")
     cats = (spec.category_a, spec.category_b)
     docs, labels = _read_newsgroup_archive(archive, cats)
-    build = build_newsgroups_from_documents(docs, labels, spec, alpha,
-                                            kappa_members_only)
+    build = build_newsgroups_from_documents(docs, labels, spec, alpha)
     build.provenance["categories"] = list(cats)
     build.provenance["source"] = str(archive)
     return build
@@ -327,8 +305,7 @@ def edvw_from_bin_values(values, alpha: float) -> np.ndarray:
 
 
 def build_covertype_from_table(features, labels, spec: BinningSpec,
-                               alpha: float,
-                               kappa_members_only: bool = False) -> DatasetBuild:
+                               alpha: float) -> DatasetBuild:
     """Core binning pipeline on an already-filtered numeric table."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -364,12 +341,11 @@ def build_covertype_from_table(features, labels, spec: BinningSpec,
         "empty_bins": empty_bins,
         "edvw_rule": "exp(-alpha * |value - bin median| / bin max distance)",
     }
-    return _finalize_hypergraph(n, edges, gammas, labels,
-                                kappa_members_only, provenance)
+    return _finalize_hypergraph(n, edges, gammas, labels, provenance)
 
 
-def build_covertype_hypergraph(data_dir, spec: BinningSpec, alpha: float,
-                               kappa_members_only: bool = False) -> DatasetBuild:
+def build_covertype_hypergraph(data_dir, spec: BinningSpec,
+                               alpha: float) -> DatasetBuild:
     """Build the area-featurebin hypergraph from the raw covertype table."""
     raw = Path(data_dir) / "covtype.data.gz"
     if not raw.exists():
@@ -383,8 +359,7 @@ def build_covertype_hypergraph(data_dir, spec: BinningSpec, alpha: float,
     keep = np.isin(cover, spec.cover_types)
     features = table[keep, :10]  # the ten quantitative columns
     labels = (cover[keep] == spec.cover_types[1]).astype(np.int64)
-    build = build_covertype_from_table(features, labels, spec, alpha,
-                                       kappa_members_only)
+    build = build_covertype_from_table(features, labels, spec, alpha)
     build.provenance["source"] = str(raw)
     build.provenance["cover_types"] = list(spec.cover_types)
     return build

@@ -20,11 +20,13 @@ METHODS = ("edvw-1lap", "rw-2lap", "cardinality-1lap")
 
 def clustering_error(side_of, labels) -> float:
     """Fraction of misassigned vertices, minimized over the two block-label
-    pairings; always in [0, 1/2]."""
+    pairings; always in [0, 1/2].  Labels may name at most two classes."""
     side_of = np.asarray(side_of, dtype=bool)
     labels = np.asarray(labels)
     if side_of.size != labels.size:
         raise ValueError("labels length does not match the partition")
+    if np.unique(labels).size > 2:
+        raise ValueError("labels name more than two classes")
     mismatch = float(np.count_nonzero(side_of != (labels == labels.max())))
     return min(mismatch, side_of.size - mismatch) / side_of.size
 

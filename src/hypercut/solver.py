@@ -30,9 +30,9 @@ After such a snap the previous iterate is usually optimal for the next inner
 problem.  TV(u) - lam * <u, v> is the Lovász extension of the set function
 F(A) = cut(A) - lam * v(A) (Hein & Setzer, NIPS 2011), so descent exists
 exactly when min_A F(A) < 0, which the first max flow of the prox already
-decides: when it rules descent out the restart ends there.  `OUTER_TOL` and
-`MAX_OUTER_ITERS` only guard against a restart that the certificate does not
-end; none has been seen.
+decides: when it rules descent out the restart ends there.
+`MAX_OUTER_ITERS` only guards against a restart that the certificate does
+not end; none has been seen.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 #: safety cap on outer steps; the max-flow certificate ends restarts first
 MAX_OUTER_ITERS = 100
-
-#: relative R1 decrease below which a restart stops
-OUTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -461,12 +458,8 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int) -> EigResult:
                            lam, lam_next)
             converged = False
             break
-        drop = lam - lam_next
         x, lam = nxt, lam_next
         trace.append(IpmIterate(lam, part.ncc))
-        if drop <= OUTER_TOL * max(lam, _TINY):
-            converged = True
-            break
     return EigResult(x, lam, iters, converged, index, tuple(trace))
 
 

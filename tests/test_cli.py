@@ -42,6 +42,14 @@ def test_clustering_error_examples():
         clustering_error(side, [0, 1])
 
 
+def test_clustering_error_refuses_more_than_two_classes():
+    # scored as "largest label against the rest" this split would read 0.0,
+    # though it merges classes 1 and 0
+    with pytest.raises(ValueError, match="more than two classes"):
+        clustering_error([True, True, False, False, False, False],
+                         [2, 2, 1, 1, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # cluster on hypergraph files
 # ---------------------------------------------------------------------------
@@ -112,7 +120,9 @@ def test_cluster_export_graph_refused_without_clique_expansion(h0_file, tmp_path
     '{"labels": [0, 1, "x"]}',
     '{"labels": [0, 1, 1.5]}',
     '{"labels": [0, 1, 100000000000000000000]}',
-], ids=["short", "truncated", "not-object", "string", "float", "overflow"])
+    '{"labels": [0, 1, 2]}',
+], ids=["short", "truncated", "not-object", "string", "float", "overflow",
+        "three-classes"])
 def test_cluster_bad_sidecar_is_data_error(h0_file, text, capsys):
     (h0_file.parent / "h0.hg.provenance.json").write_text(text)
     assert run(["cluster", "--input", h0_file]) == 3
@@ -151,6 +161,14 @@ def test_unknown_method_is_usage_error(h0_file):
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--input", h0_file, "--method", "nope"])
     assert exc.value.code == 2
+
+
+def test_sweep_unknown_method_is_usage_error(tmp_path, capsys):
+    assert run(["sweep", "--dataset", "covertype", "--data-dir", tmp_path,
+                "--methods", "edvw-1lap,bogus",
+                "--out-prefix", tmp_path / "sweep"]) == 2
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from hypercut.baselines import cardinality_variant
 from hypercut.datasets import (BinningSpec, CorpusSpec,
                                build_covertype_from_table,
                                build_covertype_hypergraph,
@@ -30,47 +31,53 @@ def loose_spec(**overrides) -> CorpusSpec:
 # ---------------------------------------------------------------------------
 
 def test_kappa_from_std_hand_values():
-    assert kappa_from_std([0, 1], [1.0, 1.0], 4) == pytest.approx(0.5,
-                                                                  rel=1e-12)
-    assert kappa_from_std([0, 1, 2], [1.0, 2.0, 3.0], 3) == \
-        pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
+    kappa = kappa_from_std([[0, 1], [0, 1, 2]], [[1.0, 1.0], [1.0, 2.0, 3.0]], 4)
+    assert kappa[0] == pytest.approx(0.5, rel=1e-12)  # (1, 1, 0, 0)
+    assert kappa[1] == pytest.approx(np.std([1.0, 2.0, 3.0, 0.0]), rel=1e-12)
+    kappa = kappa_from_std([[0, 1, 2]], [[1.0, 2.0, 3.0]], 3)
+    assert kappa[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
 
 
 def test_kappa_floor_on_constant_vector(caplog):
     with caplog.at_level("WARNING"):
-        out = kappa_from_std([0, 1, 2], [2.0, 2.0, 2.0], 3)
-    assert out == 1e-12
+        out = kappa_from_std([[0, 1, 2]], [[2.0, 2.0, 2.0]], 3)
+    assert out.tolist() == [1e-12]
     assert any("floored" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("members_only", [False, True])
-def test_kappa_floors_counted_and_warned_once(caplog, members_only):
-    # alpha = 0 makes every EDVW vector constant on its members: the
-    # members-only rule floors every hyperedge, the all-vertex rule none
-    features = np.random.default_rng(5).uniform(0, 1, size=(40, 2))
+def test_kappa_floors_counted_and_warned_once(caplog):
+    # alpha = 0 makes every EDVW vector constant on its members, yet over all
+    # vertices only a hyperedge that spans them all is constant: here the
+    # one bin of each of the two constant features
+    rng = np.random.default_rng(5)
+    features = np.column_stack([rng.uniform(0, 1, size=(40, 2)),
+                                np.full(40, 3.0), np.full(40, -1.0)])
     labels = np.repeat([0, 1], 20)
+    spec = BinningSpec(bins_per_feature=4)
+
+    def floor_warnings():
+        return [r.getMessage() for r in caplog.records
+                if "floored" in r.getMessage()]
+
     with caplog.at_level("WARNING"):
-        build = build_covertype_from_table(
-            features, labels, BinningSpec(bins_per_feature=4), 0.0,
-            kappa_members_only=members_only)
-    m = build.hypergraph.n_hyperedges
-    floors = [r.getMessage() for r in caplog.records
-              if "floored" in r.getMessage()]
-    prov = build.provenance
-    if members_only:
-        assert (prov["kappa_floored"], prov["kappa_alt_rule_floored"]) == (m, 0)
-        assert floors == [f"{m} constant EDVW vectors; kappa floored at 1e-12"]
-    else:
-        assert (prov["kappa_floored"], prov["kappa_alt_rule_floored"]) == (0, m)
-        assert floors == []
+        build = build_covertype_from_table(features[:, :2], labels, spec, 0.0)
+    assert build.provenance["kappa_rule"] == "all-vertex-std"
+    assert build.provenance["kappa_floored"] == 0
+    assert floor_warnings() == []
 
+    with caplog.at_level("WARNING"):
+        build = build_covertype_from_table(features, labels, spec, 0.0)
+    h = build.hypergraph
+    assert build.provenance["kappa_floored"] == 2
+    assert np.count_nonzero(h.kappa == 1e-12) == 2
+    assert floor_warnings() == ["2 constant EDVW vectors; kappa floored at 1e-12"]
 
-def test_kappa_members_only_switch():
-    members, values = [0, 1], [1.0, 3.0]
-    assert kappa_from_std(members, values, 4, members_only=True) == \
-        pytest.approx(1.0, rel=1e-12)
-    assert kappa_from_std(members, values, 4, members_only=False) == \
-        pytest.approx(np.std([1.0, 3.0, 0.0, 0.0]), rel=1e-12)
+    # the cardinality variant recomputes kappa by the same rule and warns once
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        flat = cardinality_variant(h, recompute_kappa_std=True)
+    assert np.array_equal(flat.kappa, h.kappa)  # alpha = 0 EDVWs are all one
+    assert floor_warnings() == ["2 constant EDVW vectors; kappa floored at 1e-12"]
 
 
 # ---------------------------------------------------------------------------

@@ -478,8 +478,8 @@ def test_ipm_matches_oracle_on_small_instances():
     for seed in range(10):
         h = with_degree_mu(random_instance(seed, n=9, m=6), CLIQUE)
         res = ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
-        # the max-flow certificate ended the restart, not OUTER_TOL or
-        # MAX_OUTER_ITERS: the last step added no trace entry
+        # the max-flow certificate ended the restart, not MAX_OUTER_ITERS:
+        # the last step added no trace entry
         assert res.converged and len(res.trace) == res.iters
         part = optimal_threshold(res.x, h, CLIQUE)
         h2, _ = exact_h2(h, CLIQUE)
