@@ -29,10 +29,12 @@ keeps the descent guarantee and puts the method on exact cuts at once.
 After such a snap the previous iterate is usually optimal for the next inner
 problem.  TV(u) - lam * <u, v> is the Lovász extension of the set function
 F(A) = cut(A) - lam * v(A) (Hein & Setzer, NIPS 2011), so descent exists
-exactly when min_A F(A) < 0, which the first max flow of the prox already
-decides: when it rules descent out the restart ends there.
-`MAX_OUTER_ITERS` only guards against a restart that the certificate does
-not end; none has been seen.
+exactly when min_A F(A) < 0.  At a snapped iterate of cut S, F(S) = 0 and
+submodularity splits that test into one on the subsets of S and one on its
+supersets, which a single max flow on the graph without the arcs across S
+decides (`snapped_descent`).  A restart ends when it rules descent out; the
+prox runs only when it does not.  `MAX_OUTER_ITERS` only guards against a
+restart that the certificate does not end; none has been seen.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _NORM_ESTIMATE_ITERS = 80
 #: largest capacity scipy's max flow accepts; it returns flow 0 above it
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: safety cap on outer steps; the max-flow certificate ends restarts first
+#: safety cap on outer steps; `snapped_descent` ends restarts first
 MAX_OUTER_ITERS = 100
 
 
@@ -90,6 +92,8 @@ class IpmConfig:
             raise ValueError("inner_tol must be positive")
         if self.n_restarts < 1:
             raise ValueError("need at least one restart")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -189,15 +193,30 @@ def _network(indptr: np.ndarray, indices: np.ndarray, w: np.ndarray,
                          ptr.astype(np.int32)), shape=(k + 2, k + 2))
 
 
-def _source_side(net: sp.csr_array) -> tuple:
-    """Max flow value and the source side of the minimal minimum cut."""
+def _source_side(net: sp.csr_array) -> np.ndarray:
+    """The source side of the minimal minimum cut of an s-t network."""
     k = net.shape[0] - 2
-    result = maximum_flow(net, k, k + 1)
-    reach = breadth_first_order(net - result.flow > 0, k,
+    reach = breadth_first_order(net - maximum_flow(net, k, k + 1).flow > 0, k,
                                 return_predecessors=False)
     side = np.zeros(k + 2, dtype=bool)
     side[reach] = True
-    return result.flow_value, side[:k]
+    return side[:k]
+
+
+def _restrict(indptr: np.ndarray, indices: np.ndarray, w: np.ndarray,
+              keep: np.ndarray, stay: np.ndarray | None = None) -> tuple:
+    """The CSR arcs where `keep`, over the vertices where `stay` (default all).
+
+    The rows of vertices outside `stay` must keep no arc.  The vertices that
+    stay are renumbered in order, so sorted indices stay sorted.
+    """
+    kept = np.flatnonzero(keep)
+    indptr = np.searchsorted(kept, indptr)  # kept arcs before each row
+    indices, w = indices[kept], w[kept]
+    if stay is None:
+        return indptr, indices, w
+    local = (np.cumsum(stay) - 1).astype(np.int32)
+    return indptr[np.flatnonzero(np.append(stay, True))], local[indices], w
 
 
 def tv_prox(g: WeightedGraph, y) -> np.ndarray:
@@ -214,10 +233,6 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
     pieces, without the arcs between pieces; pieces of one vertex settle at
     once.  Capacities are scaled into int32 and floored, and a piece splits
     only when its source side has F < 0 evaluated in floats.
-
-    The first round is the certificate network of the IPM: when its flow
-    shows min F >= 0 up to one unit per arc, nothing splits and p is the
-    constant mean of y.
     """
     n = g.n_vertices
     adj = g.adjacency
@@ -225,7 +240,6 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
     piece = np.zeros(n, dtype=np.int64)
     ids = np.arange(n)                        # vertices of unsettled pieces
     indptr, indices, w = adj.indptr, adj.indices, adj.data  # arcs among them
-    first = True
     while ids.size:
         k = ids.size
         lp = piece[ids]
@@ -235,36 +249,66 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
         if top == 0.0:
             break                                 # F(S) = cut(S) >= 0
         scale = _INT32_MAX / top   # an arc and its reverse share a residual
-        net = _network(indptr, indices, w, target, scale)
-        flow, side = _source_side(net)
-        if first and (flow / scale - float(np.maximum(target, 0.0).sum())
-                      >= -(net.nnz + 1) / scale):
-            break
-        first = False
-        rows = np.repeat(np.arange(k, dtype=np.int32), np.diff(indptr))
-        out = side[rows] & ~side[indices]         # each cut edge once
-        cut = np.bincount(lp[rows[out]], w[out], minlength=size.size)
+        side = _source_side(_network(indptr, indices, w, target, scale))
+        degree = np.diff(indptr)
+        head, tail = np.repeat(side, degree), side[indices]
+        out = np.flatnonzero(head > tail)         # each cut edge once
+        rows = np.repeat(np.arange(k, dtype=np.int32), degree)[out]
+        cut = np.bincount(lp[rows], w[out], minlength=size.size)
         gain = np.bincount(lp[side], target[side], minlength=size.size)
         inside = np.bincount(lp[side], minlength=size.size)
         split = (cut < gain) & (inside > 0) & (inside < size)
         if not split.any():
             break
         moving = split[lp]
-        mv = out & moving[rows]
-        y[ids] += (np.bincount(indices[mv], w[mv], minlength=k)
-                   - np.bincount(rows[mv], w[mv], minlength=k))
+        mv = moving[rows]
+        wm = w[out[mv]]
+        y[ids] += (np.bincount(indices[out[mv]], wm, minlength=k)
+                   - np.bincount(rows[mv], wm, minlength=k))
         upper = np.zeros(n, dtype=np.int64)
         upper[ids[side & moving]] = 1
         _, piece = np.unique(2 * piece + upper, return_inverse=True)
         stay = moving & (np.bincount(piece)[piece[ids]] > 1)
-        keep = stay[rows] & (side[rows] == side[indices])
-        local = (np.cumsum(stay) - 1).astype(np.int32)
-        indices, w = local[indices[keep]], w[keep]
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(local[rows[keep]],
-                                        minlength=int(stay.sum())))])
+        keep = np.repeat(stay, degree) & (head == tail)
+        indptr, indices, w = _restrict(indptr, indices, w, keep, stay)
         ids = ids[stay]
     return (np.bincount(piece, y) / np.bincount(piece))[piece]
+
+
+def snapped_descent(g: WeightedGraph, v, lam: float) -> bool:
+    """Whether F(A) = cut(A) - lam * v(A) is negative somewhere, when snapped.
+
+    v is the median subgradient of the centered indicator of a cut and lam
+    its R1, the cut's NCC, so S = {v > 0} has F(S) = 0.  F is submodular, so
+    F(A) + F(S) >= F(A & S) + F(A | S): some A has F(A) < 0 exactly when a
+    subset of S or a superset of S does.  These are the tests of MQI (Lang &
+    Rao, IPCO 2004) and of FlowImprove (Andersen & Lang, SODA 2008):
+
+        F(A) = cut_S(A) - sum_{i in A} (lam v_i - w(i, S'))    for A in S,
+        F(S | B) = cut_S'(B) - sum_{i in B} (lam v_i + w(i, S))  for B in S',
+
+    with S' the rest.  One max flow decides both on the graph without the
+    arcs across S, whose weight moves into the targets as in `tv_prox`.  As
+    there, capacities are scaled into int32 and floored, so descent within
+    one capacity unit per arc goes unreported.
+    """
+    n = g.n_vertices
+    adj = g.adjacency
+    v = np.asarray(v, dtype=np.float64)
+    side = v > 0.0
+    toward = adj @ side.astype(np.float64)   # w(i, S)
+    target = lam * v + np.where(side, toward - g.weighted_degrees, toward)
+    indptr, indices, w = _restrict(
+        adj.indptr, adj.indices, adj.data,
+        np.repeat(side, np.diff(adj.indptr)) == side[adj.indices])
+    # the whole graph's weights set the unit, as for the unsplit network:
+    # the targets cancel up to rounding of that order
+    top = max(2.0 * float(adj.data.max()), float(np.abs(target).max()))
+    scale = _INT32_MAX / top
+    net = _network(indptr, indices, w, target, scale)
+    flow = maximum_flow(net, n, n + 1).flow_value
+    return (flow / scale - float(np.maximum(target, 0.0).sum())
+            < -(net.nnz + 1) / scale)
 
 
 def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None) -> InnerResult:
@@ -443,6 +487,11 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int) -> EigResult:
     for k in range(MAX_OUTER_ITERS):
         iters = k + 1
         v = median_subgradient(x, mu)
+        # every iterate after the first is snapped: the split max flow
+        # decides whether descent is left before any prox is computed
+        if k and not snapped_descent(g, v, lam):
+            converged = True
+            break
         inner = inner_tv_solve(g, v, lam, x_prev=x)
         if not inner.improved:
             converged = True
@@ -477,9 +526,9 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
     One restart starts from the 2-Laplacian spectral vector, the remainder
     from seeded random vectors; the restart whose final thresholded NCC is
     smallest wins (index order breaks ties).  R1 decreases monotonically
-    within every restart, and a restart ends when the max flow of its inner
-    solve finds no descent.  Restarts run concurrently on up to one thread
-    per usable CPU; the result does not depend on the thread count.
+    within every restart, and a restart ends when the max flow split along
+    its snapped cut finds no descent.  Restarts run concurrently on up to one
+    thread per usable CPU; the result does not depend on the thread count.
     """
     cfg = cfg or IpmConfig()
     ncomp, _ = connected_components(g.adjacency, directed=False)

@@ -9,7 +9,7 @@ import pytest
 
 from hypercut import write_hypergraph
 from hypercut.cli import main
-from hypercut.report import clustering_error
+from hypercut.report import METHODS, clustering_error
 
 from _toydata import make_toy_covertype_file, make_toy_newsgroup_archive
 
@@ -161,6 +161,14 @@ def test_unknown_method_is_usage_error(h0_file):
     with pytest.raises(SystemExit) as exc:
         run(["cluster", "--input", h0_file, "--method", "nope"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_negative_seed_is_usage_error(h0_file, method, capsys):
+    assert run(["cluster", "--input", h0_file, "--method", method,
+                "--seed", -1]) == 2
+    assert capsys.readouterr().err == \
+        "usage error: rng_seed must be non-negative\n"
 
 
 def test_sweep_unknown_method_is_usage_error(tmp_path, capsys):

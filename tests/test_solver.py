@@ -18,7 +18,7 @@ from hypercut.oracle import random_instance
 from hypercut.reduction import graph_total_variation
 from hypercut.solver import (_center_normalize, graph_r1,
                              graph_threshold_partition, inner_tv_solve,
-                             median_subgradient, tv_prox)
+                             median_subgradient, snapped_descent, tv_prox)
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
@@ -71,14 +71,22 @@ def test_inner_two_vertex_linear_term_dominates():
     assert np.allclose(res.x, v / np.linalg.norm(v), atol=1e-5)
 
 
-def test_inner_ignores_descent_within_one_unit_per_arc():
-    # min F = F({0}) = -1e-9 lies below zero but within the slack of the
-    # integer flow (7 units of 2^31 / 2), so no descent is reported, though
-    # the source side of the minimum cut is {0}; at -1e-6 there is descent
-    x_prev = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    for gap, improved in ((1e-9, False), (1e-6, True)):
-        v = np.array([1.0 + gap, -1.0 - gap])
-        assert inner_tv_solve(path2(), v, 1.0, x_prev=x_prev).improved == improved
+def test_snapped_descent_ignores_descent_within_one_unit_per_arc():
+    # on the path 0 -1- 1 -b- 2 the iterate snapped to S = {0} has lam = 1
+    # and v = (1, -1/2, -1/2), so min F = F({0, 1}) = b - 1/2; at -1e-9 that
+    # lies within the slack of the integer flow (9 units of 2^31 / 2) and
+    # no descent is reported, at -1e-6 there is descent
+    x = np.array([1.0, 0.0, 0.0])
+    for gap, descent in ((1e-9, False), (1e-6, True)):
+        b = 0.5 - gap
+        g = WeightedGraph(3, sp.csr_array(np.array([[0.0, 1.0, 0.0],
+                                                    [1.0, 0.0, b],
+                                                    [0.0, b, 0.0]])),
+                          np.ones(3))
+        assert np.array_equal(_center_normalize(x, g.mu), x)
+        lam, v = graph_r1(g, x), median_subgradient(x, g.mu)
+        assert lam == 1.0 and np.array_equal(v, [1.0, -0.5, -0.5])
+        assert snapped_descent(g, v, lam) == descent
 
 
 def test_inner_objective_nonpositive_in_ipm_context():
@@ -197,10 +205,12 @@ def random_connected_graph(rng, n: int) -> WeightedGraph:
 
 
 def test_cut_descent_certificate_matches_enumeration():
-    # the first max flow of the inner solve decides whether any descent is
-    # left, as min_A cut(A) - lam * v(A) over all 2^n subsets does; case 198
-    # routes flow both ways over the heaviest arc
+    # the inner solve finds descent exactly when min_A cut(A) - lam * v(A)
+    # over all 2^n subsets is negative, and at a snapped iterate with
+    # lam = R1(x) so does the split max flow; case 198 routes flow both ways
+    # over the heaviest arc
     ruled_out = 0
+    split = []
     for case in range(480):
         rng = np.random.default_rng(case)
         n = int(rng.integers(2, 11))
@@ -223,7 +233,12 @@ def test_cut_descent_certificate_matches_enumeration():
         got = not inner_tv_solve(g, v, lam, x_prev=x).improved
         assert got == (f_min >= -1e-9 * magnitude), (case, f_min / magnitude)
         ruled_out += got
+        if case % 2 == 0 and case % 3 != 0:
+            descent = snapped_descent(g, v, lam)
+            assert descent == (f_min < -1e-9 * magnitude), case
+            split.append(descent)
     assert 60 <= ruled_out <= 420  # both answers are exercised
+    assert len(split) == 160 and 0 < sum(split) < 160
 
 
 #: best partition (vertices of one side) and lambda on the instances of the
@@ -246,8 +261,8 @@ PINNED_IPM_RESULTS = [
 
 
 def test_cut_descent_certificate_keeps_ipm_results():
-    # the exact inner solve and its built-in certificate end every restart
-    # on the partition and the eigenvalue the earlier solver found
+    # the exact inner solve and the split max-flow certificate end every
+    # restart on the partition and the eigenvalue the earlier solver found
     for seed, (side, lam) in enumerate(PINNED_IPM_RESULTS):
         h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
         g = expanded(h)
@@ -259,6 +274,33 @@ def test_cut_descent_certificate_keeps_ipm_results():
         # the centered indicator of the partition
         indicator = _center_normalize(part.side_of.astype(np.float64), g.mu)
         assert np.array_equal(res.x, indicator), seed
+
+
+def test_certificate_alone_ends_every_restart(monkeypatch):
+    # the last step of each restart runs the split max flow and no inner
+    # solve, so a restart of `iters` steps makes iters - 1 inner calls
+    calls, runs = [0], []
+    inner, run = hypercut.solver.inner_tv_solve, hypercut.solver._ipm_run
+
+    def counting_inner(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    def recording_run(*args):
+        calls[0] = 0
+        res = run(*args)
+        runs.append((calls[0], res.iters, res.converged))
+        return res
+
+    monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_inner)
+    monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
+    monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: 1)
+    for seed in range(len(PINNED_IPM_RESULTS)):
+        h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
+        ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
+    assert len(runs) == 5 * len(PINNED_IPM_RESULTS)
+    for count, iters, converged in runs:
+        assert converged and count == iters - 1
 
 
 def test_ipm_rejects_disconnected():
