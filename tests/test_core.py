@@ -10,7 +10,8 @@ from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       cut_weight, evaluate_partition, lovasz_extension,
                       r1_functional, submodular_weight, theta_and_degree,
                       volume, with_degree_mu)
-from hypercut.core import (connected_component_labels, cut_increments,
+from hypercut.core import (_as_float_array, _as_int64_array,
+                           connected_component_labels, cut_increments,
                            sweep_order, weighted_median,
                            weighted_median_interval)
 from hypercut.errors import DisconnectedGraphError
@@ -56,6 +57,113 @@ def test_rejects_disconnected():
     # length-n allocation
     with pytest.raises(DisconnectedGraphError, match="no hyperedge"):
         EdvwHypergraph(10 ** 12, edges, gams, kap)
+
+
+def loop_reference_fault(n, hyperedges, gamma):
+    """Message of the first fault, checked one hyperedge at a time.
+
+    The constructor checks all memberships at once; this loop is the order it
+    must keep: hyperedges in order, and within one the conversions, the
+    length match, the size, the id range, duplicates, then gamma; after all
+    hyperedges, a vertex count above the membership count.
+    """
+    total = 0
+    for i, (members, gvals) in enumerate(zip(hyperedges, gamma)):
+        try:
+            ms = _as_int64_array(members, f"hyperedge {i} members")
+            gs = _as_float_array(gvals, f"gamma[{i}]")
+        except ValueError as exc:
+            return str(exc)
+        if ms.ndim != 1 or ms.size != gs.size:
+            return f"hyperedge {i}: members/gamma length mismatch"
+        if ms.size < 2:
+            return f"hyperedge {i} has fewer than two members"
+        if ms.min() < 0 or ms.max() >= n:
+            return f"hyperedge {i} has out-of-range vertex ids"
+        if np.unique(ms).size != ms.size:
+            return f"hyperedge {i} has duplicate members"
+        if not np.all((gs > 0.0) & (gs < np.inf)):
+            return f"hyperedge {i} has non-positive or non-finite gamma values"
+        total += ms.size
+    if n > total:
+        return (f"n_vertices {n} exceeds the total hyperedge membership, "
+                "so some vertex lies in no hyperedge")
+    return None
+
+
+@pytest.mark.parametrize("n, edges, gammas, message", [
+    # duplicates in hyperedge 2 come before the bad id of hyperedge 4
+    (5, [[0, 1], [1, 2], [2, 3, 2], [3, 4], [4, 9]], None,
+     "hyperedge 2 has duplicate members"),
+    # a check fault before a conversion fault
+    (4, [[0, 1], [1, 2], [2, 3], [0.5, 3]],
+     [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]],
+     "hyperedge 1 has non-positive or non-finite gamma values"),
+    (4, [[0, 1], [1, 2.5], [2, 7]], None,
+     "hyperedge 1 members must be integers within int64"),
+    (4, [[0, 1], [1, 2], [[2, 3]]], None,
+     "hyperedge 2: members/gamma length mismatch"),
+    (4, [[0, 1], [1, 2], [2, 3]], [[1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0]],
+     "hyperedge 1: members/gamma length mismatch"),
+    (4, [[0, 1], [1, 2], [2, 3]], [[1.0, 1.0], [[1.0, 1.0]], [1.0, 1.0]],
+     "gamma[1] must be one-dimensional"),
+    # within one hyperedge: size, then range, then duplicates, then gamma
+    (4, [[0, 1], [9]], [[1.0, 1.0], [-1.0]],
+     "hyperedge 1 has fewer than two members"),
+    (4, [[0, 1], [9, 9]], [[1.0, 1.0], [-1.0, 1.0]],
+     "hyperedge 1 has out-of-range vertex ids"),
+    (4, [[0, 1], [-1, 2]], None, "hyperedge 1 has out-of-range vertex ids"),
+    (4, [[0, 1], [2, 2]], [[1.0, 1.0], [np.nan, 1.0]],
+     "hyperedge 1 has duplicate members"),
+    (4, [[0, 1], [2, 3]], [[1.0, 1.0], [1.0, np.inf]],
+     "hyperedge 1 has non-positive or non-finite gamma values"),
+    # a negative id must not pass for a member of the hyperedge before it
+    (4, [[0, 3], [1, -1, 2]], None, "hyperedge 1 has out-of-range vertex ids"),
+    # huge vertex counts: per-hyperedge faults still come first, and no
+    # product of a hyperedge id and n may overflow
+    (2 ** 63 - 1, [[0, 2 ** 63 - 2], [5, 5]], None,
+     "hyperedge 1 has duplicate members"),
+    (2 ** 63 - 1, [[0, 2 ** 63 - 2], [5, 6]], None,
+     "n_vertices 9223372036854775807 exceeds the total hyperedge membership"),
+    (2 ** 62, [[2, 0, 1], [1, 3]], None,
+     "n_vertices 4611686018427387904 exceeds the total hyperedge membership"),
+])
+def test_first_fault_order(n, edges, gammas, message):
+    if gammas is None:
+        gammas = [[1.0] * np.size(ms) for ms in edges]
+    kappa = [1.0] * len(edges)
+    assert loop_reference_fault(n, edges, gammas).startswith(message)
+    with pytest.raises(ValueError) as exc:
+        EdvwHypergraph(n, edges, gammas, kappa)
+    assert str(exc.value).startswith(message)
+
+
+fault_ids = st.integers(-1, 6) | st.sampled_from([0.5, 2.0, 2 ** 63])
+fault_gammas = st.sampled_from([1.0, 2.5, 0.0, -1.0, np.inf, np.nan])
+
+
+@given(st.integers(2, 6),
+       st.lists(st.lists(fault_ids, max_size=5), min_size=1, max_size=5),
+       st.data())
+def test_first_fault_matches_loop_reference(n, edges, data):
+    gammas = [data.draw(st.lists(fault_gammas, min_size=max(len(ms) - 1, 0),
+                                 max_size=len(ms) + 1))
+              for ms in edges]
+    expected = loop_reference_fault(n, edges, gammas)
+    try:
+        h = EdvwHypergraph(n, edges, gammas, [1.0] * len(edges))
+    except DisconnectedGraphError as exc:
+        assert str(exc) == expected or (
+            expected is None and "disconnected" in str(exc))
+        return
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    for ms, gs, edge, gvals in zip(h.hyperedges, h.gamma, edges, gammas):
+        order = np.argsort(edge)
+        assert ms.tolist() == np.asarray(edge)[order].tolist()
+        assert gs.tolist() == np.asarray(gvals)[order].tolist()
 
 
 def test_memberships_match_loop_reference():

@@ -1,12 +1,20 @@
 """Hypergraph file format round-trips and parse failures."""
 
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hypercut import read_hypergraph, with_degree_mu, write_hypergraph
+from hypercut import (EdvwHypergraph, read_hypergraph, with_degree_mu,
+                      write_hypergraph)
 from hypercut.core import GKind, HKind, SubmodularWeightSpec
+from hypercut.datasets import (BinningSpec, CorpusSpec,
+                               build_covertype_from_table,
+                               build_newsgroups_from_documents)
 from hypercut.errors import HypergraphFormatError
 from hypercut.io import _parse_text, from_json_dict
 from hypercut.oracle import random_instance
@@ -42,6 +50,132 @@ def test_text_format_shape(tmp_path, h0):
     assert lines[1].split()[0] == "1.0"
     assert lines[1].split()[1:] == ["0:1.0", "1:2.0", "2:3.0"]
     assert len(lines) == 2  # all-ones mu stays implicit
+
+
+def _bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: sha256 of the files written for the two benchmark shapes at alpha = 1; a
+#: change to the writer, the builders or the constructor's canonical order
+#: that moves a single byte shows here
+GOLDEN = {
+    ("covertype", ".hg"):
+        "8c9f7d9a8a8186fd684d822c5e8f9f5a3ee02b6f4293e0e52be5035359b9f681",
+    ("covertype", ".json"):
+        "9e516f462841d8654210206876e4af90d7651a666a300e84f2eb6cbfb749318a",
+    ("newsgroups", ".hg"):
+        "0ef0a36425b1c67812c393951877726aae76fbd33896b893d0b1f97358b984f2",
+    ("newsgroups", ".json"):
+        "c412ac0207f1f17d06fde383ff646157a4b003444fd028198a928c9b7c8cf4d2",
+}
+
+
+@pytest.mark.parametrize("shape, suffix", sorted(GOLDEN))
+def test_bench_shaped_files_are_byte_stable(tmp_path, shape, suffix):
+    inputs = _bench_inputs()
+    if shape == "covertype":
+        build = build_covertype_from_table(*inputs.covertype_table(300, 1),
+                                           BinningSpec(), 1.0)
+    else:
+        build = build_newsgroups_from_documents(
+            *inputs.newsgroups_corpus(160, 1), CorpusSpec(), 1.0)
+    path = tmp_path / f"h{suffix}"
+    write_hypergraph(build.hypergraph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN[shape, suffix]
+    same_hypergraph(build.hypergraph, read_hypergraph(path))
+
+
+# positive finite floats, with the extremes that `repr` must carry exactly
+weights = st.floats(min_value=5e-324, max_value=1.7976931348623157e308,
+                    allow_nan=False, allow_infinity=False)
+extreme_weights = st.sampled_from([
+    5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300,
+    0.30000000000000004, 1.0 / 3.0, 123456789.12345679, 1.0])
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(2, 7))
+    w = weights | extreme_weights
+    # the first hyperedge spans every vertex, so the hypergraph is connected
+    edges = [draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                   max_size=n, unique=True)))
+    gammas = [draw(st.lists(w, min_size=len(ms), max_size=len(ms)))
+              for ms in edges]
+    kappa = draw(st.lists(w, min_size=len(edges), max_size=len(edges)))
+    mu = draw(st.none() | st.lists(w, min_size=n, max_size=n))
+    return EdvwHypergraph(n, edges, gammas, kappa, mu)
+
+
+@given(hypergraphs())
+def test_write_read_write_is_byte_identical(tmp_path_factory, h):
+    d = tmp_path_factory.mktemp("rt")
+    for suffix in (".hg", ".json"):
+        first, second = d / f"a{suffix}", d / f"b{suffix}"
+        write_hypergraph(h, first)
+        back = read_hypergraph(first)
+        same_hypergraph(h, back)
+        write_hypergraph(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def _edge_file(line: str, n: int) -> str:
+    return f"{n} 1\n{line}\n"
+
+
+BAD_LINE = "line 2: bad hyperedge entry"
+TEN = " ".join(f"{v}:1.0" for v in range(10))
+
+
+@pytest.mark.parametrize("line, n, verdict", [
+    ("1.0 1 2:3:4", 3, BAD_LINE),
+    ("1.0 0:1.0 1:", 3, BAD_LINE),
+    ("1.0 :2", 3, BAD_LINE),
+    ("1.0 0:1.0:2", 3, BAD_LINE),
+    ("1.0 1.5:1.0", 3, BAD_LINE),
+    ("1.0 0x1:1.0", 3, BAD_LINE),
+    ("1.0 0 :1.0 1:1.0", 3, BAD_LINE),
+    ("1.0 0: 1.0 1:1.0", 3, BAD_LINE),
+    ("1.0: 0:1.0 1:1.0", 3, BAD_LINE),
+    ("0:1.0 1:1.0", 3, BAD_LINE),
+    ("1.0 0:1.0 1:x", 3, BAD_LINE),
+    ("1.0 0;1.0 1:1.0", 3, BAD_LINE),
+    # parsed, then refused by the constructor, which names the hyperedge
+    ("1.0 0:1.0 9223372036854775808:1.0", 3,
+     "invalid hypergraph: hyperedge 0 members must be integers within int64"),
+    ("1.0 0:1.0", 3,
+     "invalid hypergraph: hyperedge 0 has fewer than two members"),
+    ("1.0", 3, "invalid hypergraph: hyperedge 0 has fewer than two members"),
+    # accepted: any whitespace that str.split() splits on separates entries,
+    # and entries are read by Python's int() and float()
+    ("1.0\t0:1.0\t1:2.0\t2:3.0", 3, [0, 1, 2]),
+    ("1.0 0:1.0\xa01:2.0\u20032:3.0", 3, [0, 1, 2]),
+    ("1.0  0:1.0   1:2.0", 2, [0, 1]),
+    (f"1.0 {TEN} 1_0:2.0", 11, list(range(11))),
+    ("1_0.5 +0:1_0.5 0_1:1e0", 2, [0, 1]),
+    ("1.0 -0:1.0 1:1.0", 2, [0, 1]),
+    ("1.0 \uff10:1.0 \u0661:\u0661.\u0665", 2, [0, 1]),
+    ("  1.0 1:2.0 0:1.0  ", 2, [0, 1]),
+])
+def test_hyperedge_line_verdicts(line, n, verdict):
+    text = _edge_file(line, n)
+    if isinstance(verdict, str):
+        with pytest.raises(HypergraphFormatError) as exc:
+            _parse_text(text)
+        assert str(exc.value).startswith(verdict)
+        if verdict == BAD_LINE:
+            assert str(exc.value) == f"{BAD_LINE} {line.strip()!r}"
+        return
+    h = _parse_text(text)
+    assert h.hyperedges[0].tolist() == verdict
 
 
 def test_text_format_comments_and_mu(tmp_path):
