@@ -1,6 +1,8 @@
 """Command-line interface: fetch, build, cluster, sweep (and a debug oracle).
 
-Exit codes: 0 success, 2 usage errors, 3 data errors, 4 solver failures.
+Exit codes: 0 success, 2 usage errors (an output path that cannot be
+written among them, refused before any work), 3 data errors, 4 solver
+failures.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -52,6 +55,20 @@ def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:
     raise DataIngestError(f"unknown dataset {args.dataset!r}")
 
 
+def _check_writable(*paths) -> None:
+    """Refuse, before any work is done, an output path that cannot be written."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            reason = f"no directory {path.parent}"
+        elif path.is_dir():
+            reason = "it is a directory"
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ValueError(f"cannot write {path}: {reason}")
+
+
 def cmd_fetch(args) -> int:
     record = datasets.fetch_dataset(args.dataset, args.data_dir)
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -59,6 +76,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_build(args) -> int:
+    _check_writable(args.out, str(args.out) + ".provenance.json")
     build = _build_dataset(args, args.alpha)
     write_hypergraph(build.hypergraph, args.out)
     sidecar = Path(str(args.out) + ".provenance.json")
@@ -124,6 +142,7 @@ def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
 
 
 def cmd_cluster(args) -> int:
+    _check_writable(*[p for p in (args.out, args.export_graph) if p])
     report = _cluster_once(args, args.method, args.alpha)
     text = report.to_json(include_timings=args.timings)
     if args.out:
@@ -137,6 +156,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_writable(args.out_prefix + ".csv", args.out_prefix + ".json")
     alphas = ([float(t) for t in args.alphas.split(",")]
               if args.alphas else list(DEFAULT_ALPHA_GRID))
     methods = args.methods.split(",") if args.methods else list(METHODS)

@@ -89,6 +89,8 @@ def _as_int64_array(values, name: str) -> np.ndarray:
     into an OverflowError; here both fail the round-trip comparison.
     """
     arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return arr
     if arr.dtype.kind not in "iufO":
         raise ValueError(f"{name} must be integers")
     try:
@@ -126,6 +128,50 @@ def _checked_mu(mu, n: int) -> np.ndarray:
     return mu
 
 
+#: the constructor's per-hyperedge checks, in the order they are reported
+_MEMBERSHIP_FAULTS = ("has fewer than two members",
+                      "has out-of-range vertex ids",
+                      "has duplicate members",
+                      "has non-positive or non-finite gamma values")
+
+
+def _checked_memberships(n: int, members: list, gammas: list) -> tuple:
+    """Members and gammas of all hyperedges, each hyperedge sorted by id.
+
+    `members` and `gammas` hold one converted 1-d array per hyperedge, of
+    equal sizes.  All memberships are checked at once; the first faulty
+    hyperedge is reported with its first failing check in
+    `_MEMBERSHIP_FAULTS` order.  Returns the concatenated sorted members,
+    their gammas and the hyperedge sizes.
+    """
+    sizes = np.array([ms.size for ms in members], dtype=np.int64)
+    k = sizes.size
+    edge_of = np.repeat(np.arange(k), sizes)
+    flat = np.concatenate(members)
+    # clipped ids keep a faulty hyperedge's keys inside its own block
+    ids = np.clip(flat, 0, n - 1)
+    if n * k < 2 ** 63:
+        order = np.argsort(edge_of * n + ids)
+    else:  # the key would overflow; n then exceeds the membership count
+        order = np.lexsort((ids, edge_of))
+    flat, ids = flat[order], ids[order]  # edge_of keeps its order
+    gamma = np.concatenate(gammas)[order]
+
+    def per_edge(mask):
+        return np.bincount(edge_of[mask], minlength=k) > 0
+
+    repeated = np.zeros(flat.size, dtype=bool)
+    repeated[1:] = (ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])
+    faults = np.stack([sizes < 2, per_edge(flat != ids), per_edge(repeated),
+                       per_edge(~((gamma > 0.0) & (gamma < np.inf)))])
+    faulty = faults.any(axis=0)
+    if faulty.any():
+        e = int(np.argmax(faulty))
+        check = int(np.argmax(faults[:, e]))
+        raise ValueError(f"hyperedge {e} {_MEMBERSHIP_FAULTS[check]}")
+    return flat, gamma, sizes
+
+
 def connected_component_labels(n_vertices: int, hyperedges: Sequence) -> np.ndarray:
     """Component of every vertex, numbered 0..k-1 in order of first appearance.
 
@@ -135,11 +181,13 @@ def connected_component_labels(n_vertices: int, hyperedges: Sequence) -> np.ndar
     """
     sizes = [len(ms) for ms in hyperedges]
     members = np.concatenate(hyperedges).astype(np.int64, copy=False)
-    hubs = n_vertices + np.repeat(np.arange(len(sizes)), sizes)
     size = n_vertices + len(sizes)
-    graph = sp.csr_array((np.ones(members.size), (members, hubs)),
+    # row n + e lists the members of hyperedge e; vertex rows are empty
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    indptr[n_vertices + 1:] = np.cumsum(sizes)
+    graph = sp.csr_array((np.ones(members.size), members, indptr),
                          shape=(size, size))
-    _, labels = connected_components(graph, directed=False)
+    _, labels = connected_components(graph, connection="weak")
     _, first, labels = np.unique(labels[:n_vertices], return_index=True,
                                  return_inverse=True)
     return np.argsort(np.argsort(first))[labels]
@@ -183,35 +231,36 @@ class EdvwHypergraph:
         if len(self.hyperedges) == 0:
             raise ValueError("need at least one hyperedge")
 
-        members_out, gamma_out = [], []
-        for i, (members, gvals) in enumerate(zip(self.hyperedges, self.gamma)):
-            ms = _as_int64_array(members, f"hyperedge {i} members")
-            gs = _as_float_array(gvals, f"gamma[{i}]")
-            if ms.ndim != 1 or ms.size != gs.size:
-                raise ValueError(f"hyperedge {i}: members/gamma length mismatch")
-            if ms.size < 2:
-                raise ValueError(f"hyperedge {i} has fewer than two members")
-            if ms.min() < 0 or ms.max() >= n:
-                raise ValueError(f"hyperedge {i} has out-of-range vertex ids")
-            if np.unique(ms).size != ms.size:
-                raise ValueError(f"hyperedge {i} has duplicate members")
-            if not np.all((gs > 0.0) & (gs < np.inf)):
-                raise ValueError(
-                    f"hyperedge {i} has non-positive or non-finite gamma values")
-            order = np.argsort(ms)  # canonical member order
-            ms, gs = ms[order], gs[order]
-            ms.setflags(write=False)
-            gs.setflags(write=False)
-            members_out.append(ms)
-            gamma_out.append(gs)
+        members, gammas, fault = [], [], None
+        for i, (ms, gs) in enumerate(zip(self.hyperedges, self.gamma)):
+            try:
+                ms = _as_int64_array(ms, f"hyperedge {i} members")
+                gs = _as_float_array(gs, f"gamma[{i}]")
+                if ms.ndim != 1 or ms.size != gs.size:
+                    raise ValueError(
+                        f"hyperedge {i}: members/gamma length mismatch")
+            except (TypeError, ValueError) as exc:
+                fault = exc  # raised unless an earlier hyperedge fails below
+                break
+            members.append(ms)
+            gammas.append(gs)
+        if members:
+            flat, gamma, sizes = _checked_memberships(n, members, gammas)
+        if fault is not None:
+            raise fault
 
-        if n > sum(ms.size for ms in members_out):
+        if n > flat.size:
             # refused before any length-n allocation: n may be huge
             raise DisconnectedGraphError(
                 f"n_vertices {n} exceeds the total hyperedge membership, "
                 "so some vertex lies in no hyperedge")
+        for a in (flat, gamma):
+            a.setflags(write=False)  # and so are the per-hyperedge views
+        bounds = np.cumsum(sizes).tolist()
+        members_out = tuple(flat[a:b] for a, b in zip([0] + bounds, bounds))
+        gamma_out = tuple(gamma[a:b] for a, b in zip([0] + bounds, bounds))
         kap = _as_float_array(self.kappa, "kappa")
-        if kap.size != len(members_out):
+        if kap.size != sizes.size:
             raise ValueError("kappa length must match the number of hyperedges")
         if not np.all((kap > 0.0) & (kap < np.inf)):
             raise ValueError("kappa values must be positive and finite")
@@ -219,8 +268,8 @@ class EdvwHypergraph:
         kap.setflags(write=False)
 
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "hyperedges", tuple(members_out))
-        object.__setattr__(self, "gamma", tuple(gamma_out))
+        object.__setattr__(self, "hyperedges", members_out)
+        object.__setattr__(self, "gamma", gamma_out)
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "mu", _checked_mu(self.mu, n))
 

@@ -28,8 +28,10 @@ import logging
 import re
 import tarfile
 import urllib.request
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,8 @@ from .errors import DataIngestError
 logger = logging.getLogger(__name__)
 
 KAPPA_FLOOR = 1e-12
+#: entries of the largest dense block `kappa_from_std` allocates (8 MB)
+_DENSE_BLOCK = 1 << 20
 
 _TOKEN_RE = re.compile(r"[a-z]{2,}")
 
@@ -100,13 +104,23 @@ def kappa_from_std(hyperedges, gammas, n_vertices: int) -> np.ndarray:
 
     The vector of a hyperedge ranges over all vertices, with zeros for
     non-members.  Floored at `KAPPA_FLOOR` so kappa stays positive for
-    constant vectors; one warning counts the floored hyperedges.
+    constant vectors; one warning counts the floored hyperedges.  The
+    vectors are taken as rows of dense blocks of at most `_DENSE_BLOCK`
+    entries, whose row-wise std sums exactly as a single vector's does.
     """
-    std = np.empty(len(hyperedges))
-    for e, (ms, gs) in enumerate(zip(hyperedges, gammas)):
-        dense = np.zeros(n_vertices)
-        dense[ms] = gs
-        std[e] = dense.std()
+    sizes = [len(ms) for ms in hyperedges]
+    bounds = np.cumsum([0, *sizes])
+    members = np.concatenate(hyperedges).astype(np.int64, copy=False)
+    gamma = np.concatenate(gammas).astype(np.float64, copy=False)
+    edge_of = np.repeat(np.arange(len(sizes)), sizes)
+    std = np.empty(len(sizes))
+    step = max(1, _DENSE_BLOCK // n_vertices)
+    for lo in range(0, len(sizes), step):
+        hi = min(lo + step, len(sizes))
+        part = slice(bounds[lo], bounds[hi])
+        dense = np.zeros((hi - lo, n_vertices))
+        dense[edge_of[part] - lo, members[part]] = gamma[part]
+        std[lo:hi] = dense.std(axis=1)
     low = std < KAPPA_FLOOR
     if low.any():
         logger.warning("%d constant EDVW vectors; kappa floored at %g",
@@ -114,40 +128,44 @@ def kappa_from_std(hyperedges, gammas, n_vertices: int) -> np.ndarray:
     return np.where(low, KAPPA_FLOOR, std)
 
 
-def _finalize_hypergraph(n_vertices, edges, gammas, labels, provenance):
+def _finalize_hypergraph(n_vertices, members, gamma, sizes, labels,
+                         provenance):
     """Drop degenerate hyperedges, restrict to the largest component,
-    compute kappas and assemble the final hypergraph."""
-    kept = [(e, g) for e, g in zip(edges, gammas) if len(e) >= 2]
-    dropped = len(edges) - len(kept)
+    compute kappas and assemble the final hypergraph.
+
+    The hyperedges arrive as concatenated `members` and `gamma` arrays with
+    one entry of `sizes` per hyperedge.
+    """
+    kept = sizes >= 2
+    dropped = int(np.count_nonzero(~kept))
     if dropped:
         logger.info("dropped %d degenerate hyperedges (fewer than 2 members)",
                     dropped)
-    if not kept:
+    if not kept.any():
         raise DataIngestError("no usable hyperedges after preprocessing")
-    edges = [np.asarray(e, dtype=np.int64) for e, _ in kept]
-    gammas = [np.asarray(g, dtype=np.float64) for _, g in kept]
+    inside = np.repeat(kept, sizes)
+    members, gamma, sizes = members[inside], gamma[inside], sizes[kept]
 
-    comp = connected_component_labels(n_vertices, edges)
+    comp = connected_component_labels(n_vertices, _split(members, sizes))
     n_comp = int(comp.max()) + 1
     if n_comp > 1:
-        sizes = np.bincount(comp)
-        keep_comp = int(sizes.argmax())
+        comp_sizes = np.bincount(comp)
+        keep_comp = int(comp_sizes.argmax())
         logger.warning("hypergraph disconnected (%d components); keeping the "
                        "largest with %d of %d vertices",
-                       n_comp, sizes[keep_comp], n_vertices)
+                       n_comp, comp_sizes[keep_comp], n_vertices)
         keep_mask = comp == keep_comp
         remap = -np.ones(n_vertices, dtype=np.int64)
         remap[keep_mask] = np.arange(int(keep_mask.sum()))
-        new_edges, new_gammas = [], []
-        for ms, gs in zip(edges, gammas):
-            inside = keep_mask[ms]
-            if int(inside.sum()) >= 2:
-                new_edges.append(remap[ms[inside]])
-                new_gammas.append(gs[inside])
-        edges, gammas = new_edges, new_gammas
+        inside = keep_mask[members]
+        counts = np.add.reduceat(inside, np.cumsum(sizes) - sizes)
+        inside &= np.repeat(counts >= 2, sizes)
+        members, gamma = remap[members[inside]], gamma[inside]
+        sizes = counts[counts >= 2]
         labels = labels[keep_mask]
         n_vertices = int(keep_mask.sum())
 
+    edges, gammas = _split(members, sizes), _split(gamma, sizes)
     kappa = kappa_from_std(edges, gammas, n_vertices)
     provenance.update({
         "n_vertices": n_vertices,
@@ -159,6 +177,12 @@ def _finalize_hypergraph(n_vertices, edges, gammas, labels, provenance):
     })
     h = EdvwHypergraph(n_vertices, edges, gammas, kappa)
     return DatasetBuild(h, np.asarray(labels, dtype=np.int64), provenance)
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
+    """Consecutive pieces of `flat` with the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,58 +205,42 @@ def build_newsgroups_from_documents(documents, labels, spec: CorpusSpec,
     if n_docs != labels.size:
         raise DataIngestError("labels length does not match document count")
 
-    df: dict = {}
-    tf: dict = {}
-    for doc in documents:
-        seen = set()
-        for w in doc:
-            if w in spec.stopwords:
-                continue
-            tf[w] = tf.get(w, 0) + 1
-            if w not in seen:
-                seen.add(w)
-                df[w] = df.get(w, 0) + 1
-    candidates = [w for w, d in df.items()
-                  if spec.min_doc_frac <= d / n_docs <= spec.max_doc_frac]
+    doc_counts = [Counter(doc) for doc in documents]
+    tf = Counter(chain.from_iterable(documents))
+    df = Counter(chain.from_iterable(doc_counts))
+    candidates = [w for w, d in df.items() if w not in spec.stopwords
+                  and spec.min_doc_frac <= d / n_docs <= spec.max_doc_frac]
     vocab = sorted(candidates, key=lambda w: (-tf[w], w))[:spec.vocab_size]
     vocab_index = {w: i for i, w in enumerate(vocab)}
     if not vocab:
         raise DataIngestError("empty vocabulary after frequency filtering")
 
-    counts = []  # per document: {word_id: count}
-    for doc in documents:
-        c: dict = {}
-        for w in doc:
-            wid = vocab_index.get(w)
-            if wid is not None:
-                c[wid] = c.get(wid, 0) + 1
-        counts.append(c)
+    counts = [{vocab_index[w]: c for w, c in doc.items() if w in vocab_index}
+              for doc in doc_counts]  # per document: {word_id: count}
     keep_docs = [i for i, c in enumerate(counts)
                  if len(c) >= spec.min_words_per_doc]
     n_kept = len(keep_docs)
     if n_kept < 2:
         raise DataIngestError("fewer than two documents survive filtering")
 
-    # tf-idf over the retained documents
-    df_kept = np.zeros(len(vocab))
-    for i in keep_docs:
-        for wid in counts[i]:
-            df_kept[wid] += 1
-    edges: list = [[] for _ in vocab]
-    gammas: list = [[] for _ in vocab]
-    zero_tfidf = 0
-    for new_id, i in enumerate(keep_docs):
-        for wid, cnt in counts[i].items():
-            idf = np.log(n_kept / df_kept[wid])
-            base = cnt * idf
-            if base <= 0.0:
-                zero_tfidf += 1  # word occurs in every retained document
-                continue
-            edges[wid].append(new_id)
-            gammas[wid].append(base ** alpha)
+    # tf-idf over the retained documents, one entry per (document, word)
+    kept = [counts[i] for i in keep_docs]
+    doc_of = np.repeat(np.arange(n_kept), [len(c) for c in kept])
+    word = np.fromiter(chain.from_iterable(kept), np.int64, doc_of.size)
+    count = np.fromiter(chain.from_iterable(c.values() for c in kept),
+                        np.float64, doc_of.size)
+    df_kept = np.bincount(word)
+    base = count * np.log(n_kept / df_kept[word])
+    positive = base > 0.0
+    zero_tfidf = int(np.count_nonzero(~positive))  # words in every document
     if zero_tfidf:
         logger.warning("dropped %d memberships with non-positive tf-idf",
                        zero_tfidf)
+    # a scalar power per membership: numpy's vectorized power can differ
+    # from it in the last bit, and the EDVWs are kept exactly as they were
+    gamma = np.array([b ** alpha for b in base[positive]])
+    order = np.argsort(word[positive], kind="stable")  # by word, then doc
+    sizes = np.bincount(word[positive], minlength=len(vocab))
 
     provenance = {
         "pipeline": "newsgroups",
@@ -248,8 +256,8 @@ def build_newsgroups_from_documents(documents, labels, spec: CorpusSpec,
                          "computed on retained documents",
         "dropped_zero_tfidf_memberships": zero_tfidf,
     }
-    return _finalize_hypergraph(n_kept, edges, gammas, labels[keep_docs],
-                                provenance)
+    return _finalize_hypergraph(n_kept, doc_of[positive][order], gamma[order],
+                                sizes, labels[keep_docs], provenance)
 
 
 def _read_newsgroup_archive(archive: Path, categories) -> tuple:
@@ -288,49 +296,52 @@ def build_newsgroups_hypergraph(data_dir, spec: CorpusSpec,
 # covertype
 # ---------------------------------------------------------------------------
 
-def edvw_from_bin_values(values, alpha: float) -> np.ndarray:
-    """EDVWs of one bin: exp(-alpha * distance-to-median), distances scaled to [0, 1].
-
-    A bin whose values all coincide (including single-member bins) has all
-    distances zero, hence EDVWs of one regardless of alpha.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    d = np.abs(values - np.median(values))
-    dmax = float(d.max())
-    if dmax > 0.0:
-        d = d / dmax
-    else:
-        d = np.zeros_like(d)
-    return np.exp(-alpha * d)
-
-
 def build_covertype_from_table(features, labels, spec: BinningSpec,
                                alpha: float) -> DatasetBuild:
-    """Core binning pipeline on an already-filtered numeric table."""
+    """Core binning pipeline on an already-filtered numeric table.
+
+    Each feature is cut into `bins_per_feature` equal-width bins (a constant
+    feature into one); every non-empty bin is a hyperedge over its rows, in
+    feature-major, bin-minor order.  The EDVW of a row in a bin is
+    exp(-alpha * d), with d its distance to the bin median divided by the
+    bin's largest such distance (all d are zero when the values coincide).
+    """
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != labels.size:
         raise DataIngestError("features must be (n_rows, n_features) matching labels")
     n, n_features = x.shape
+    bins = spec.bins_per_feature
 
-    edges, gammas = [], []
-    empty_bins = 0
-    for f in range(n_features):
-        col = x[:, f]
-        lo, hi = float(col.min()), float(col.max())
-        if hi > lo:
-            width = (hi - lo) / spec.bins_per_feature
-            idx = np.minimum(((col - lo) / width).astype(np.int64),
-                             spec.bins_per_feature - 1)
-        else:
-            idx = np.zeros(n, dtype=np.int64)  # constant feature: one bin
-        for b in range(spec.bins_per_feature):
-            members = np.flatnonzero(idx == b)
-            if members.size == 0:
-                empty_bins += 1
-                continue
-            edges.append(members)
-            gammas.append(edvw_from_bin_values(col[members], alpha))
+    lo, hi = x.min(axis=0), x.max(axis=0)  # a NaN shows in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise DataIngestError("features must be finite, with finite ranges")
+    spread = hi > lo
+    width = np.where(spread, (hi - lo) / bins, 1.0)
+    idx = np.minimum(((x - lo) / width).astype(np.int64), bins - 1)
+    idx[:, ~spread] = 0  # constant feature: one bin
+
+    # a stable sort by bin keeps each bin's rows in id order; bin ids grow
+    # with the value, so sorting a column by value also sorts it by bin
+    by_bin = np.argsort(idx, axis=0, kind="stable")
+    members = by_bin.T.ravel()
+    values = np.take_along_axis(x, by_bin, axis=0).T.ravel()
+    ordered = np.sort(x, axis=0).T.ravel()
+    counts = np.bincount((idx + bins * np.arange(n_features)).ravel(),
+                         minlength=bins * n_features)
+    sizes = counts[counts > 0]
+    starts = np.cumsum(sizes) - sizes
+    # np.median of each bin: its middle value, or the mean of the two
+    mid = starts + sizes // 2
+    median = ordered[mid]
+    even = sizes % 2 == 0
+    median[even] = (ordered[mid[even] - 1] + median[even]) / 2
+    d = np.abs(values - np.repeat(median, sizes))
+    dmax = np.maximum.reduceat(d, starts)
+    d = np.divide(d, np.repeat(dmax, sizes), out=np.zeros_like(d),
+                  where=np.repeat(dmax > 0.0, sizes))
+    gamma = np.exp(-alpha * d)
 
     provenance = {
         "pipeline": "covertype",
@@ -338,10 +349,10 @@ def build_covertype_from_table(features, labels, spec: BinningSpec,
         "n_rows": n,
         "n_features": n_features,
         "bins_per_feature": spec.bins_per_feature,
-        "empty_bins": empty_bins,
+        "empty_bins": int(np.count_nonzero(counts == 0)),
         "edvw_rule": "exp(-alpha * |value - bin median| / bin max distance)",
     }
-    return _finalize_hypergraph(n, edges, gammas, labels, provenance)
+    return _finalize_hypergraph(n, members, gamma, sizes, labels, provenance)
 
 
 def build_covertype_hypergraph(data_dir, spec: BinningSpec,

@@ -7,8 +7,12 @@ Text format (vertex ids are 0-based integers)::
     kappa v1:gamma1 v2:gamma2 ...     (one line per hyperedge, M lines)
     mu w0 w1 ... w(N-1)               (optional vertex-weight section)
 
-Floats are written with full repr precision so files round-trip exactly.
-The JSON mirror carries the same fields::
+Floats are written with `repr`, so files round-trip exactly: writing what
+was read gives the same bytes.  Each hyperedge line is written with one
+%-format over its members and gammas and read with one split; fields are
+separated by any whitespace `str.split` knows and parsed by Python's `int`
+and `float`, and a line that is not ``kappa v:gamma ...`` is refused naming
+its line number.  The JSON mirror carries the same fields::
 
     {"n_vertices": N,
      "hyperedges": [{"kappa": k, "members": [...], "gamma": [...]}, ...],
@@ -27,14 +31,12 @@ from .errors import HypergraphFormatError
 
 
 def to_json_dict(h: EdvwHypergraph) -> dict:
-    mu = None if np.all(h.mu == 1.0) else [float(w) for w in h.mu]
+    mu = None if np.all(h.mu == 1.0) else h.mu.tolist()
     return {
         "n_vertices": h.n_vertices,
         "hyperedges": [
-            {"kappa": float(h.kappa[e]),
-             "members": [int(v) for v in ms],
-             "gamma": [float(g) for g in gs]}
-            for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma))
+            {"kappa": k, "members": ms.tolist(), "gamma": gs.tolist()}
+            for k, ms, gs in zip(h.kappa.tolist(), h.hyperedges, h.gamma)
         ],
         "mu": mu,
     }
@@ -62,11 +64,12 @@ def write_hypergraph(h: EdvwHypergraph, path) -> None:
                         + "\n")
         return
     lines = [f"{h.n_vertices} {h.n_hyperedges}"]
-    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
-        pairs = " ".join(f"{int(v)}:{float(g)!r}" for v, g in zip(ms, gs))
-        lines.append(f"{float(h.kappa[e])!r} {pairs}")
+    for k, ms, gs in zip(h.kappa.tolist(), h.hyperedges, h.gamma):
+        fields = [k] * (2 * ms.size + 1)
+        fields[1::2], fields[2::2] = ms.tolist(), gs.tolist()
+        lines.append(("%r" + " %d:%r" * ms.size) % tuple(fields))
     if not np.all(h.mu == 1.0):
-        lines.append("mu " + " ".join(repr(float(w)) for w in h.mu))
+        lines.append(" ".join(["mu", *map(repr, h.mu.tolist())]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -87,19 +90,21 @@ def _parse_text(text: str) -> EdvwHypergraph:
 
     edges, gammas, kappas = [], [], []
     for ln, line in rows[1:1 + m]:
-        toks = line.split()
+        # with each colon a token of its own, "kappa v:gamma ..." splits into
+        # kappa and (v, ":", gamma) triples, and it has one colon fewer than
+        # whitespace-separated tokens unless whitespace sits beside a colon
+        colons = line.count(":")
+        toks = line.replace(":", " : ").split()
         try:
+            if (len(toks) != 3 * colons + 1 or toks[2::3] != [":"] * colons
+                    or len(line.split()) != colons + 1):
+                raise ValueError("expected 'kappa v:gamma ...'")
             kappas.append(float(toks[0]))
-            members, gvals = [], []
-            for tok in toks[1:]:
-                v, g = tok.split(":")
-                members.append(int(v))
-                gvals.append(float(g))
-        except (ValueError, IndexError) as exc:
+            edges.append(list(map(int, toks[1::3])))
+            gammas.append(list(map(float, toks[3::3])))
+        except ValueError as exc:
             raise HypergraphFormatError(
                 f"line {ln}: bad hyperedge entry {line!r}") from exc
-        edges.append(members)
-        gammas.append(gvals)
 
     mu = None
     extra = rows[1 + m:]
@@ -109,7 +114,7 @@ def _parse_text(text: str) -> EdvwHypergraph:
         if toks[0] != "mu" or len(extra) > 1:
             raise HypergraphFormatError(f"line {ln}: unexpected trailing content")
         try:
-            mu = [float(t) for t in toks[1:]]
+            mu = list(map(float, toks[1:]))
         except ValueError as exc:
             raise HypergraphFormatError(
                 f"line {ln}: bad vertex-weight section") from exc

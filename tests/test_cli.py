@@ -179,6 +179,43 @@ def test_sweep_unknown_method_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_cluster_unwritable_out_refused_before_any_work(h0_file, tmp_path,
+                                                        capsys):
+    out, mtx = tmp_path / "missing" / "r.json", tmp_path / "graph.mtx"
+    assert run(["cluster", "--input", h0_file, "--export-graph", mtx,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: cannot write {out}: no directory {out.parent}\n"
+    assert not out.exists() and not mtx.exists()
+
+
+def test_cluster_unwritable_export_graph_refused_before_any_work(
+        h0_file, tmp_path, capsys):
+    out, mtx = tmp_path / "r.json", tmp_path
+    assert run(["cluster", "--input", h0_file, "--export-graph", mtx,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: cannot write {mtx}: it is a directory\n"
+    assert not out.exists()
+
+
+def test_build_unwritable_out_refused_before_any_work(tmp_path, capsys):
+    # no raw data either: the path is refused before the build is tried
+    out = tmp_path / "missing" / "news.hg"
+    assert run(["build", "newsgroups", "--data-dir", tmp_path / "nowhere",
+                "--out", out]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_unwritable_out_prefix_refused_before_any_work(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "sweep"
+    assert run(["sweep", "--dataset", "covertype", "--data-dir",
+                tmp_path / "nowhere", "--out-prefix", prefix]) == 2
+    assert f"cannot write {prefix}.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # dataset-backed commands on toy raw data
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 import gzip
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hypercut.baselines import cardinality_variant
-from hypercut.datasets import (BinningSpec, CorpusSpec,
+import hypercut.datasets
+from hypercut.datasets import (KAPPA_FLOOR, BinningSpec, CorpusSpec,
                                build_covertype_from_table,
                                build_covertype_hypergraph,
                                build_newsgroups_from_documents,
-                               build_newsgroups_hypergraph,
-                               edvw_from_bin_values, fetch_dataset,
+                               build_newsgroups_hypergraph, fetch_dataset,
                                kappa_from_std, tokenize)
 from hypercut.errors import DataIngestError
 
@@ -36,6 +37,29 @@ def test_kappa_from_std_hand_values():
     assert kappa[1] == pytest.approx(np.std([1.0, 2.0, 3.0, 0.0]), rel=1e-12)
     kappa = kappa_from_std([[0, 1, 2]], [[1.0, 2.0, 3.0]], 3)
     assert kappa[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
+
+
+def loop_kappa(hyperedges, gammas, n):
+    """The kappa rule one hyperedge at a time, over a dense vector each."""
+    std = []
+    for ms, gs in zip(hyperedges, gammas):
+        dense = np.zeros(n)
+        dense[ms] = gs
+        std.append(dense.std())
+    return np.maximum(std, KAPPA_FLOOR)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 7, 1])
+def test_kappa_from_std_matches_loop_reference(monkeypatch, block):
+    # small blocks split the hyperedges over several dense blocks
+    monkeypatch.setattr(hypercut.datasets, "_DENSE_BLOCK", block)
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 40, 300):
+        edges = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                 for _ in range(int(rng.integers(1, 9)))]
+        gammas = [rng.lognormal(0.0, 2.0, size=ms.size) for ms in edges]
+        expected = loop_kappa(edges, gammas, n)
+        assert np.array_equal(kappa_from_std(edges, gammas, n), expected)
 
 
 def test_kappa_floor_on_constant_vector(caplog):
@@ -138,6 +162,35 @@ def test_newsgroups_member_order_alpha_invariant():
     assert orders[0] == orders[1] == orders[2]
 
 
+def test_newsgroups_tfidf_matches_scalar_arithmetic():
+    # every EDVW is (count * ln(N / df)) ** alpha in numpy scalars, exactly
+    rng = np.random.default_rng(11)
+    words = [f"w{chr(97 + i)}" for i in range(12)]
+    spec = loose_spec(vocab_size=9, min_words_per_doc=2,
+                      stopwords=frozenset({"wa"}))
+    for alpha in (0.25, 1.0, 1.5):
+        docs = [list(rng.choice(words, size=int(rng.integers(2, 12))))
+                for _ in range(30)]
+        build = build_newsgroups_from_documents(docs, [0] * 30, spec, alpha)
+        assert build.provenance["n_components_before_restrict"] == 1
+        vocab = build.provenance["vocabulary"]
+        counts = [Counter(w for w in doc if w in vocab) for doc in docs]
+        kept = [c for c in counts if len(c) >= 2]
+        df = Counter(w for c in kept for w in c)
+        edges = []
+        for w in vocab:
+            entries = [(d, (c[w] * np.log(len(kept) / np.float64(df[w])))
+                        ** alpha) for d, c in enumerate(kept) if w in c]
+            entries = [(d, g) for d, g in entries if g > 0.0]
+            if len(entries) >= 2:
+                edges.append(entries)
+        h = build.hypergraph
+        assert h.n_hyperedges == len(edges)
+        for ms, gs, entries in zip(h.hyperedges, h.gamma, edges):
+            assert ms.tolist() == [d for d, _ in entries]
+            assert gs.tolist() == [float(g) for _, g in entries]
+
+
 def test_newsgroups_stopwords_and_doc_filter():
     docs = [["the", "ride", "fast"], ["ride", "fast"], ["ride", "slow"],
             ["slow", "fast"]]
@@ -176,16 +229,88 @@ def test_newsgroups_missing_archive(tmp_path):
 # covertype pipeline
 # ---------------------------------------------------------------------------
 
+def loop_bins(features, bins, alpha):
+    """Non-empty bins as (members, EDVWs), one feature and bin at a time."""
+    out = []
+    for col in np.asarray(features, dtype=np.float64).T:
+        lo, hi = float(col.min()), float(col.max())
+        if hi > lo:
+            idx = np.minimum(((col - lo) / ((hi - lo) / bins)).astype(np.int64),
+                             bins - 1)
+        else:
+            idx = np.zeros(col.size, dtype=np.int64)
+        for b in range(bins):
+            members = np.flatnonzero(idx == b)
+            if members.size:
+                d = np.abs(col[members] - np.median(col[members]))
+                dmax = float(d.max())
+                d = d / dmax if dmax > 0.0 else np.zeros_like(d)
+                out.append((members, np.exp(-alpha * d)))
+    return out
+
+
 def test_bin_edvws_hand_values():
-    vals = np.array([0.0, 1.0, 2.0, 10.0])  # median 1.5, max distance 8.5
-    out = edvw_from_bin_values(vals, alpha=2.0)
-    dist = np.abs(vals - 1.5) / 8.5
-    assert out == pytest.approx(np.exp(-2.0 * dist), rel=1e-12)
+    # feature 0: bins {0, 1, 2, 10} (median 1.5, max distance 8.5) and
+    # {30, 31}; feature 1 is constant, one bin of EDVWs one
+    features = np.array([[0.0, 1.0, 2.0, 10.0, 30.0, 31.0], [4.0] * 6]).T
+    build = build_covertype_from_table(features, np.zeros(6, dtype=int),
+                                       BinningSpec(bins_per_feature=2), 2.0)
+    h = build.hypergraph
+    assert [ms.tolist() for ms in h.hyperedges] == \
+        [[0, 1, 2, 3], [4, 5], list(range(6))]
+    dist = np.abs(features[:4, 0] - 1.5) / 8.5
+    assert h.gamma[0] == pytest.approx(np.exp(-2.0 * dist), rel=1e-12)
+    assert h.gamma[1] == pytest.approx([np.exp(-2.0)] * 2, rel=1e-12)
+    assert h.gamma[2].tolist() == [1.0] * 6
 
 
 def test_bin_edvws_degenerate_bins():
-    assert edvw_from_bin_values([7.0], alpha=3.0).tolist() == [1.0]
-    assert edvw_from_bin_values([2.0, 2.0], alpha=3.0).tolist() == [1.0, 1.0]
+    # a bin whose values all coincide has EDVWs one at any alpha; a bin of
+    # one row is dropped as a degenerate hyperedge
+    features = np.array([[2.0, 2.0, 2.0, 20.0], [5.0] * 4]).T
+    build = build_covertype_from_table(features, np.zeros(4, dtype=int),
+                                       BinningSpec(bins_per_feature=2), 3.0)
+    h = build.hypergraph
+    assert [ms.tolist() for ms in h.hyperedges] == [[0, 1, 2], [0, 1, 2, 3]]
+    assert [gs.tolist() for gs in h.gamma] == [[1.0] * 3, [1.0] * 4]
+    assert build.provenance["dropped_degenerate_hyperedges"] == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_covertype_bins_match_loop_reference(seed):
+    # ties, a constant feature, single-member and empty bins, odd and even
+    # bin sizes; the constant last feature keeps every row connected
+    rng = np.random.default_rng(seed)
+    n, bins = int(rng.integers(2, 60)), int(rng.integers(2, 9))
+    features = np.column_stack([
+        rng.normal(size=n), np.round(rng.normal(size=n), 1),
+        rng.exponential(size=n) * 10.0 ** int(rng.integers(-3, 4)),
+        np.full(n, 7.0)])
+    alpha = float(rng.choice([0.0, 0.25, 1.0, 1.5]))
+    build = build_covertype_from_table(features, np.zeros(n, dtype=int),
+                                       BinningSpec(bins_per_feature=bins),
+                                       alpha)
+    ref = [(ms, gs) for ms, gs in loop_bins(features, bins, alpha)
+           if ms.size >= 2]
+    h = build.hypergraph
+    assert h.n_vertices == n and h.n_hyperedges == len(ref)
+    for ms, gs, (ref_ms, ref_gs) in zip(h.hyperedges, h.gamma, ref):
+        assert ms.tolist() == ref_ms.tolist()
+        assert gs.tolist() == ref_gs.tolist()
+    assert np.array_equal(h.kappa, loop_kappa([m for m, _ in ref],
+                                              [g for _, g in ref], n))
+    assert build.provenance["empty_bins"] == \
+        4 * bins - len(loop_bins(features, bins, alpha))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+def test_covertype_non_finite_features_refused(value):
+    features = np.ones((4, 2))
+    features[2, 1] = value
+    features[3, 1] = -1e308  # with 1e308, a range beyond the float range
+    with pytest.raises(DataIngestError, match="finite"):
+        build_covertype_from_table(features, np.zeros(4, dtype=int),
+                                   BinningSpec(), 1.0)
 
 
 def test_covertype_equal_width_binning_by_hand():

@@ -178,6 +178,55 @@ def test_hyperedge_line_verdicts(line, n, verdict):
     assert h.hyperedges[0].tolist() == verdict
 
 
+def loop_parse_edge_line(line):
+    """(kappa, members, gammas) of a stripped hyperedge line, token by token.
+
+    The reference for the reader's one-split parse: any ValueError here must
+    be a "bad hyperedge entry" there.
+    """
+    toks = line.split()
+    kappa = float(toks[0])
+    members, gammas = [], []
+    for tok in toks[1:]:
+        v, g = tok.split(":")
+        members.append(int(v))
+        gammas.append(float(g))
+    return kappa, members, gammas
+
+
+line_pieces = st.sampled_from([
+    "0", "1", "2", "10", "1.5", "-0", "+1", "1_0", "2.0e0", "nan", "inf", "x",
+    ":", ":", " ", "  ", "\t", "\xa0", "\u2003", "\u0661", "\uff12", "0:1.0",
+    "1:2.5", "2:0.5"])
+
+
+@given(st.lists(line_pieces, min_size=1, max_size=14).map("".join))
+@example("1.0 0:1.0 1:2.0 2:3.0")
+@example("1.0 0 1:2:3")
+@example("1.0 a b:")
+@example("1.0 0 :1 1:1")
+def test_edge_line_matches_token_loop(line):
+    line = line.strip()
+    if not line:
+        return
+    text = _edge_file(line, 3)
+    try:
+        kappa, members, gammas = loop_parse_edge_line(line)
+    except ValueError:
+        with pytest.raises(HypergraphFormatError) as exc:
+            _parse_text(text)
+        assert str(exc.value) == f"{BAD_LINE} {line!r}"
+        return
+    try:
+        expected = EdvwHypergraph(3, [members], [gammas], [kappa])
+    except ValueError as exc:
+        with pytest.raises(HypergraphFormatError) as got:
+            _parse_text(text)
+        assert str(got.value) == f"invalid hypergraph: {exc}"
+        return
+    same_hypergraph(expected, _parse_text(text))
+
+
 def test_text_format_comments_and_mu(tmp_path):
     path = tmp_path / "h.hg"
     path.write_text("# comment\n3 1\n2.0 0:1.0 1:2.0 2:3.0\nmu 4.0 5.0 6.0\n")
