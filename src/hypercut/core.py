@@ -240,11 +240,11 @@ class EdvwHypergraph:
                     raise ValueError(
                         f"hyperedge {i}: members/gamma length mismatch")
             except (TypeError, ValueError) as exc:
-                fault = exc  # raised unless an earlier hyperedge fails below
+                fault = exc
                 break
             members.append(ms)
             gammas.append(gs)
-        if members:
+        if members:  # a fault in an earlier hyperedge is reported first
             flat, gamma, sizes = _checked_memberships(n, members, gammas)
         if fault is not None:
             raise fault

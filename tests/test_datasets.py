@@ -49,7 +49,7 @@ def loop_kappa(hyperedges, gammas, n):
     return np.maximum(std, KAPPA_FLOOR)
 
 
-@pytest.mark.parametrize("block", [1 << 20, 7, 1])
+@pytest.mark.parametrize("block", [1 << 17, 7, 1])
 def test_kappa_from_std_matches_loop_reference(monkeypatch, block):
     # small blocks split the hyperedges over several dense blocks
     monkeypatch.setattr(hypercut.datasets, "_DENSE_BLOCK", block)
