@@ -111,8 +111,7 @@ def kappa_from_std(hyperedges, gammas, n_vertices: int) -> np.ndarray:
     """
     sizes = [len(ms) for ms in hyperedges]
     bounds = np.cumsum([0, *sizes])
-    members = np.concatenate(hyperedges).astype(np.int64, copy=False)
-    gamma = np.concatenate(gammas).astype(np.float64, copy=False)
+    members, gamma = np.concatenate(hyperedges), np.concatenate(gammas)
     edge_of = np.repeat(np.arange(len(sizes)), sizes)
     std = np.empty(len(sizes))
     step = max(1, _DENSE_BLOCK // n_vertices)
