@@ -109,7 +109,9 @@ def cardinality_variant(h: EdvwHypergraph,
     """
     from .datasets import kappa_from_std  # local import; datasets builds on core
 
-    ones = [np.ones(ms.size) for ms in h.hyperedges]
-    kappa = (kappa_from_std(h.hyperedges, ones, h.n_vertices)
+    sizes = [ms.size for ms in h.hyperedges]
+    ones = [np.ones(size) for size in sizes]
+    kappa = (kappa_from_std(h.memberships[0], np.ones(sum(sizes)), sizes,
+                            h.n_vertices)
              if recompute_kappa_std else h.kappa)
     return EdvwHypergraph(h.n_vertices, h.hyperedges, ones, kappa, h.mu)

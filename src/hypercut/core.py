@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,21 +147,20 @@ def _checked_memberships(n: int, members: list, gammas: list) -> tuple:
     k = sizes.size
     edge_of = np.repeat(np.arange(k), sizes)
     flat = np.concatenate(members)
-    # clipped ids keep a faulty hyperedge's keys inside its own block
-    ids = np.clip(flat, 0, n - 1)
-    if n * k < 2 ** 63:
-        order = np.argsort(edge_of * n + ids)
-    else:  # the key would overflow; n then exceeds the membership count
-        order = np.lexsort((ids, edge_of))
-    flat, ids = flat[order], ids[order]  # edge_of keeps its order
+    # (hyperedge, rank of id) keys sort as (hyperedge, id) and stay below
+    # k * len(flat), whatever n is
+    rank = np.unique(flat, return_inverse=True)[1]
+    order = np.argsort(edge_of * flat.size + rank)
+    flat = flat[order]  # edge_of keeps its order
     gamma = np.concatenate(gammas)[order]
 
     def per_edge(mask):
         return np.bincount(edge_of[mask], minlength=k) > 0
 
     repeated = np.zeros(flat.size, dtype=bool)
-    repeated[1:] = (ids[1:] == ids[:-1]) & (edge_of[1:] == edge_of[:-1])
-    faults = np.stack([sizes < 2, per_edge(flat != ids), per_edge(repeated),
+    repeated[1:] = (flat[1:] == flat[:-1]) & (edge_of[1:] == edge_of[:-1])
+    faults = np.stack([sizes < 2, per_edge((flat < 0) | (flat >= n)),
+                       per_edge(repeated),
                        per_edge(~((gamma > 0.0) & (gamma < np.inf)))])
     faulty = faults.any(axis=0)
     if faulty.any():
@@ -172,15 +170,21 @@ def _checked_memberships(n: int, members: list, gammas: list) -> tuple:
     return flat, gamma, sizes
 
 
-def connected_component_labels(n_vertices: int, hyperedges: Sequence) -> np.ndarray:
+def split_by_sizes(flat: np.ndarray, sizes) -> list:
+    """Consecutive pieces of `flat` with the given sizes, as views."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def connected_component_labels(n_vertices: int, members: np.ndarray,
+                               sizes) -> np.ndarray:
     """Component of every vertex, numbered 0..k-1 in order of first appearance.
 
-    Components of the bipartite vertex-hyperedge graph restricted to the
-    vertices, so component 0 holds vertex 0; isolated vertices stay
-    singletons.
+    The hyperedges are given as their concatenated `members`, one entry of
+    `sizes` per hyperedge.  Components of the bipartite vertex-hyperedge
+    graph restricted to the vertices, so component 0 holds vertex 0;
+    isolated vertices stay singletons.
     """
-    sizes = [len(ms) for ms in hyperedges]
-    members = np.concatenate(hyperedges).astype(np.int64, copy=False)
     size = n_vertices + len(sizes)
     # row n + e lists the members of hyperedge e; vertex rows are empty
     indptr = np.zeros(size + 1, dtype=np.int64)
@@ -256,9 +260,8 @@ class EdvwHypergraph:
                 "so some vertex lies in no hyperedge")
         for a in (flat, gamma):
             a.setflags(write=False)  # and so are the per-hyperedge views
-        bounds = np.cumsum(sizes).tolist()
-        members_out = tuple(flat[a:b] for a, b in zip([0] + bounds, bounds))
-        gamma_out = tuple(gamma[a:b] for a, b in zip([0] + bounds, bounds))
+        members_out = tuple(split_by_sizes(flat, sizes))
+        gamma_out = tuple(split_by_sizes(gamma, sizes))
         kap = _as_float_array(self.kappa, "kappa")
         if kap.size != sizes.size:
             raise ValueError("kappa length must match the number of hyperedges")
@@ -273,7 +276,7 @@ class EdvwHypergraph:
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "mu", _checked_mu(self.mu, n))
 
-        labels = connected_component_labels(n, members_out)
+        labels = connected_component_labels(n, flat, sizes)
         if labels.max() != 0:
             raise DisconnectedGraphError(
                 f"hypergraph is disconnected ({labels.max() + 1} components)")

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EdvwHypergraph, connected_component_labels
+from .core import EdvwHypergraph, connected_component_labels, split_by_sizes
 from .errors import DataIngestError
 
 logger = logging.getLogger(__name__)
@@ -100,18 +100,18 @@ def tokenize(text: str) -> list:
     return _TOKEN_RE.findall(text.lower())
 
 
-def kappa_from_std(hyperedges, gammas, n_vertices: int) -> np.ndarray:
+def kappa_from_std(members, gamma, sizes, n_vertices: int) -> np.ndarray:
     """Hyperedge strengths: population std of each EDVW vector.
 
-    The vector of a hyperedge ranges over all vertices, with zeros for
-    non-members.  Floored at `KAPPA_FLOOR` so kappa stays positive for
-    constant vectors; one warning counts the floored hyperedges.  The
-    vectors are taken as rows of dense blocks of at most `_DENSE_BLOCK`
-    entries, whose row-wise std sums exactly as a single vector's does.
+    The hyperedges are given as their concatenated `members` and `gamma`,
+    one entry of `sizes` per hyperedge.  The vector of a hyperedge ranges
+    over all vertices, with zeros for non-members.  Floored at
+    `KAPPA_FLOOR` so kappa stays positive for constant vectors; one warning
+    counts the floored hyperedges.  The vectors are taken as rows of dense
+    blocks of at most `_DENSE_BLOCK` entries, whose row-wise std sums
+    exactly as a single vector's does.
     """
-    sizes = [len(ms) for ms in hyperedges]
     bounds = np.cumsum([0, *sizes])
-    members, gamma = np.concatenate(hyperedges), np.concatenate(gammas)
     edge_of = np.repeat(np.arange(len(sizes)), sizes)
     std = np.empty(len(sizes))
     step = max(1, _DENSE_BLOCK // n_vertices)
@@ -146,7 +146,7 @@ def _finalize_hypergraph(n_vertices, members, gamma, sizes, labels,
     inside = np.repeat(kept, sizes)
     members, gamma, sizes = members[inside], gamma[inside], sizes[kept]
 
-    comp = connected_component_labels(n_vertices, _split(members, sizes))
+    comp = connected_component_labels(n_vertices, members, sizes)
     n_comp = int(comp.max()) + 1
     if n_comp > 1:
         comp_sizes = np.bincount(comp)
@@ -165,24 +165,18 @@ def _finalize_hypergraph(n_vertices, members, gamma, sizes, labels,
         labels = labels[keep_mask]
         n_vertices = int(keep_mask.sum())
 
-    edges, gammas = _split(members, sizes), _split(gamma, sizes)
-    kappa = kappa_from_std(edges, gammas, n_vertices)
+    kappa = kappa_from_std(members, gamma, sizes, n_vertices)
     provenance.update({
         "n_vertices": n_vertices,
-        "n_hyperedges": len(edges),
+        "n_hyperedges": len(sizes),
         "dropped_degenerate_hyperedges": dropped,
         "n_components_before_restrict": n_comp,
         "kappa_rule": "all-vertex-std",
         "kappa_floored": int(np.count_nonzero(kappa == KAPPA_FLOOR)),
     })
-    h = EdvwHypergraph(n_vertices, edges, gammas, kappa)
+    h = EdvwHypergraph(n_vertices, split_by_sizes(members, sizes),
+                       split_by_sizes(gamma, sizes), kappa)
     return DatasetBuild(h, np.asarray(labels, dtype=np.int64), provenance)
-
-
-def _split(flat: np.ndarray, sizes: np.ndarray) -> list:
-    """Consecutive pieces of `flat` with the given sizes."""
-    ends = np.cumsum(sizes).tolist()
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -199,14 +199,16 @@ def test_with_mu_validates_mu_and_shares_structure():
 
 def test_component_labels_in_order_of_first_appearance():
     # member lists arrive unsorted from the builders
-    labels = connected_component_labels(6, [[4, 0], [1, 3], [2, 4]])
+    labels = connected_component_labels(6, np.array([4, 0, 1, 3, 2, 4]),
+                                        [2, 2, 2])
     assert labels.tolist() == [0, 1, 0, 1, 0, 2]
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(2, 15))
         edges = [rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)),
                             replace=False) for _ in range(int(rng.integers(1, 6)))]
-        labels = connected_component_labels(n, edges)
+        labels = connected_component_labels(n, np.concatenate(edges),
+                                            [ms.size for ms in edges])
         # first appearance: the first vertex of each new label is unseen
         seen = -1
         for lab in labels.tolist():

@@ -32,10 +32,11 @@ def loose_spec(**overrides) -> CorpusSpec:
 # ---------------------------------------------------------------------------
 
 def test_kappa_from_std_hand_values():
-    kappa = kappa_from_std([[0, 1], [0, 1, 2]], [[1.0, 1.0], [1.0, 2.0, 3.0]], 4)
+    kappa = kappa_from_std(np.array([0, 1, 0, 1, 2]),
+                           np.array([1.0, 1.0, 1.0, 2.0, 3.0]), [2, 3], 4)
     assert kappa[0] == pytest.approx(0.5, rel=1e-12)  # (1, 1, 0, 0)
     assert kappa[1] == pytest.approx(np.std([1.0, 2.0, 3.0, 0.0]), rel=1e-12)
-    kappa = kappa_from_std([[0, 1, 2]], [[1.0, 2.0, 3.0]], 3)
+    kappa = kappa_from_std(np.arange(3), np.array([1.0, 2.0, 3.0]), [3], 3)
     assert kappa[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
 
 
@@ -59,12 +60,14 @@ def test_kappa_from_std_matches_loop_reference(monkeypatch, block):
                  for _ in range(int(rng.integers(1, 9)))]
         gammas = [rng.lognormal(0.0, 2.0, size=ms.size) for ms in edges]
         expected = loop_kappa(edges, gammas, n)
-        assert np.array_equal(kappa_from_std(edges, gammas, n), expected)
+        kappa = kappa_from_std(np.concatenate(edges), np.concatenate(gammas),
+                               [ms.size for ms in edges], n)
+        assert np.array_equal(kappa, expected)
 
 
 def test_kappa_floor_on_constant_vector(caplog):
     with caplog.at_level("WARNING"):
-        out = kappa_from_std([[0, 1, 2]], [[2.0, 2.0, 2.0]], 3)
+        out = kappa_from_std(np.arange(3), np.full(3, 2.0), [3], 3)
     assert out.tolist() == [1e-12]
     assert any("floored" in r.message for r in caplog.records)
 
