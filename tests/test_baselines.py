@@ -1,6 +1,8 @@
 """Random-walk Laplacian baseline and the EDVW-blind cardinality variant."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       build_rw_laplacian, cardinality_variant, exact_h2,
                       run_method, submodular_weight, with_degree_mu)
+from hypercut.baselines import PI_MAX_ITERS, PI_TOL
+from hypercut.datasets import BinningSpec, build_covertype_from_table
 from hypercut.oracle import random_instance
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
@@ -21,6 +25,16 @@ def transition(rwl) -> np.ndarray:
 def canonical(partition) -> bytes:
     side = np.asarray(partition, dtype=bool)
     return (side if side[0] else ~side).tobytes()
+
+
+def bench_covertype(n: int, seed: int = 1):
+    """The benchmark's covertype-shaped hypergraph at alpha = 1."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return build_covertype_from_table(*inputs.covertype_table(n, seed),
+                                      BinningSpec(), 1.0).hypergraph
 
 
 def test_rw_transition_running_example(h0):
@@ -46,6 +60,52 @@ def test_rw_rows_stochastic_and_pi_fixed_point():
         assert np.max(np.abs(lap - lap.T)) <= 1e-12
         evals = np.linalg.eigvalsh(lap)
         assert evals[0] >= -1e-10  # PSD
+
+
+@pytest.mark.parametrize("n", [600, 1600])
+def test_rw_products_are_bit_stable(n):
+    # the walk factors transposed afresh for every product, as the operator
+    # and the stationary loop once did: binding the transposes once must run
+    # the same sparse kernels on the same arrays, so every bit agrees
+    rwl = build_rw_laplacian(bench_covertype(n))
+    p_ve, p_ev = rwl.p_ve, rwl.p_ev
+
+    pi = np.full(n, 1.0 / n)
+    for _ in range(PI_MAX_ITERS):
+        nxt = p_ev.T @ (p_ve.T @ pi)
+        nxt /= nxt.sum()
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual <= PI_TOL:
+            break
+    assert np.array_equal(rwl.pi, pi)
+
+    s = np.sqrt(pi)
+    inv_s = 1.0 / s
+    op = rwl.laplacian_operator()
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        sc, inv = (s, inv_s) if x.ndim == 1 else (s[:, None], inv_s[:, None])
+        a = sc * (p_ve @ (p_ev @ (inv * x)))
+        b = inv * (p_ev.T @ (p_ve.T @ (sc * x)))
+        assert np.array_equal(op @ x, x - 0.5 * (a + b))
+
+
+@pytest.mark.parametrize("h", [random_instance(3, n=14, m=8),
+                               bench_covertype(600)],
+                         ids=["random", "covertype-600"])
+def test_rw_operator_matches_its_formula(h):
+    rwl = build_rw_laplacian(h)
+    n = rwl.n_vertices
+    p = transition(rwl)
+    s = np.sqrt(rwl.pi)
+    # I - (S P S^-1 + S^-1 P^T S) / 2 with S = diag(sqrt(pi))
+    sps = s[:, None] * p / s[None, :]
+    expected = np.eye(n) - 0.5 * (sps + sps.T)
+    lap = rwl.laplacian_operator() @ np.eye(n)
+    assert np.max(np.abs(lap - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # sqrt(pi) spans the kernel because pi is stationary
+    assert np.linalg.norm(rwl.laplacian_operator() @ s) <= 1e-10
 
 
 def test_rw_uniform_for_trivial_edvws():
