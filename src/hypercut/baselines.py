@@ -33,7 +33,9 @@ class RwLaplacian:
 
     The transition matrix is P = p_ve @ p_ev (vertex -> hyperedge ->
     vertex); it is never materialized, and neither is the Laplacian, which
-    is exposed only as a LinearOperator.
+    is exposed only as a LinearOperator.  Products with P^T run on the CSC
+    transposes of the factors, taken once per operator and once per build
+    (for the stationary power iteration), not once per product.
     """
 
     p_ve: sp.csr_array   # n x m, rows sum to 1
@@ -48,16 +50,19 @@ class RwLaplacian:
         """I - (S P S^-1 + S^-1 P^T S) / 2 with S = diag(sqrt(pi)).
 
         Applies to a vector (n,) or a block (n, k) with two sparse products
-        per side.
+        per side.  The transposed factors are taken here, once per operator,
+        so no product rebuilds them.
         """
         n = self.n_vertices
         s = np.sqrt(self.pi)
         inv_s = 1.0 / s
+        p_ve, p_ev = self.p_ve, self.p_ev
+        p_ve_t, p_ev_t = p_ve.T, p_ev.T
 
         def apply(x):
             sc, inv = (s, inv_s) if x.ndim == 1 else (s[:, None], inv_s[:, None])
-            a = sc * (self.p_ve @ (self.p_ev @ (inv * x)))
-            b = inv * (self.p_ev.T @ (self.p_ve.T @ (sc * x)))
+            a = sc * (p_ve @ (p_ev @ (inv * x)))
+            b = inv * (p_ev_t @ (p_ve_t @ (sc * x)))
             return x - 0.5 * (a + b)
 
         return spla.LinearOperator((n, n), matvec=apply, rmatvec=apply,
@@ -83,8 +88,9 @@ def build_rw_laplacian(h: EdvwHypergraph) -> RwLaplacian:
                         shape=(m, n)).T.tocsr()
 
     pi = np.full(n, 1.0 / n)
+    p_ve_t, p_ev_t = p_ve.T, p_ev.T
     for _ in range(PI_MAX_ITERS):
-        nxt = p_ev.T @ (p_ve.T @ pi)
+        nxt = p_ev_t @ (p_ve_t @ pi)
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
