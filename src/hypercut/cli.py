@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (DataIngestError, DisconnectedGraphError,
                      SolverConvergenceError)
 from .io import read_hypergraph, write_hypergraph
 from .oracle import exact_h2
-from .report import METHODS, ClusteringReport, run_method
+from .report import METHODS, run_method
 from .solver import IpmConfig
 
 EXIT_USAGE = 2
@@ -115,8 +116,13 @@ def _read_sidecar(path: Path, n_vertices: int) -> tuple:
     return labels, payload
 
 
-def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
-    cfg = _cfg_from_args(args)
+def _prepare(args, alpha: float | None):
+    """`run_method` bound to the command's input, read or built once.
+
+    A file input is read with its sidecar; a dataset is built at `alpha`
+    (0 when unset).  The result takes the method, the IPM config and the
+    report's alpha, so one input serves every method run on it.
+    """
     if args.input:
         h = read_hypergraph(args.input)
         labels = None
@@ -127,23 +133,21 @@ def _cluster_once(args, method: str, alpha: float | None) -> ClusteringReport:
             provenance.update(payload)
         mu_mode = args.mu if args.mu else ("keep" if not np.all(h.mu == 1.0)
                                            else "degree")
-        return run_method(h, labels, method, cfg, alpha=alpha,
-                          source=str(args.input), mu_mode=mu_mode,
-                          cardinality_recompute_kappa=False,
-                          provenance=provenance,
-                          export_graph=getattr(args, "export_graph", None))
+        return partial(run_method, h, labels, source=str(args.input),
+                       mu_mode=mu_mode, cardinality_recompute_kappa=False,
+                       provenance=provenance)
     build = _build_dataset(args, alpha if alpha is not None else 0.0)
-    return run_method(build.hypergraph, build.labels, method, cfg,
-                      alpha=alpha, source=args.dataset,
-                      mu_mode=args.mu or "degree",
-                      cardinality_recompute_kappa=True,
-                      provenance=build.provenance,
-                      export_graph=getattr(args, "export_graph", None))
+    return partial(run_method, build.hypergraph, build.labels,
+                   source=args.dataset, mu_mode=args.mu or "degree",
+                   cardinality_recompute_kappa=True,
+                   provenance=build.provenance)
 
 
 def cmd_cluster(args) -> int:
     _check_writable(*[p for p in (args.out, args.export_graph) if p])
-    report = _cluster_once(args, args.method, args.alpha)
+    solve = _prepare(args, args.alpha)
+    report = solve(args.method, _cfg_from_args(args), alpha=args.alpha,
+                   export_graph=args.export_graph)
     text = report.to_json(include_timings=args.timings)
     if args.out:
         Path(args.out).write_text(text)
@@ -164,8 +168,11 @@ def cmd_sweep(args) -> int:
         if mth not in METHODS:
             raise ValueError(f"unknown method {mth!r}; "
                              f"expected one of {METHODS}")
-    reports = [_cluster_once(args, method, alpha)
-               for alpha in alphas for method in methods]
+    cfg = _cfg_from_args(args)
+    reports = []
+    for alpha in alphas:  # one build per alpha serves every method
+        solve = _prepare(args, alpha)
+        reports += [solve(method, cfg, alpha=alpha) for method in methods]
 
     rows = [{
         "dataset": args.dataset,

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import hypercut.datasets
 from hypercut import write_hypergraph
 from hypercut.cli import main
 from hypercut.report import METHODS, clustering_error
@@ -289,6 +290,68 @@ def test_sweep_rows_and_alpha_zero_equivalence(toy_news_dir, tmp_path):
         assert flat["ncc"] == pytest.approx(base["ncc"], rel=1e-12)
         assert flat["error"] == pytest.approx(base["error"], rel=1e-12)
         assert flat["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap module functions so each call is counted by its name."""
+    counts = {}
+
+    def wrap(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    return wrap, counts
+
+
+@pytest.mark.parametrize("dataset, reader_module, raw_reader", [
+    ("newsgroups", hypercut.datasets, "_read_newsgroup_archive"),
+    ("covertype", gzip, "open"),  # the covertype table is read inline
+])
+def test_sweep_builds_once_per_alpha(dataset, reader_module, raw_reader,
+                                     toy_news_dir, toy_cov_dir, tmp_path,
+                                     count_calls):
+    wrap, counts = count_calls
+    for name in ("build_newsgroups_hypergraph", "build_covertype_hypergraph"):
+        wrap(hypercut.datasets, name)
+    wrap(reader_module, raw_reader)
+    data_dir = toy_news_dir if dataset == "newsgroups" else toy_cov_dir
+    assert run(["sweep", "--dataset", dataset, "--data-dir", data_dir,
+                "--alphas", "0,1", "--restarts", "1",
+                "--out-prefix", tmp_path / "sweep"]) == 0
+    assert len(json.loads((tmp_path / "sweep.json").read_text())) == \
+        2 * len(METHODS)
+    # one build and one read of the raw data per alpha, for all methods
+    assert counts == {f"build_{dataset}_hypergraph": 2, raw_reader: 2}
+
+
+def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):
+    # each row is what `cluster` reports for its own (alpha, method) build
+    common = ["--dataset", "newsgroups", "--data-dir", toy_news_dir,
+              "--restarts", "2", "--seed", "3"]
+    assert run(["sweep", *common, "--alphas", "0.5,1.5",
+                "--out-prefix", tmp_path / "sweep"]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    with open(tmp_path / "sweep.csv") as fh:
+        rows_csv = list(csv.DictReader(fh))
+    keys = ["alpha", "method", "ncc", "error", "lambda", "iterations",
+            "converged"]
+    assert [(r["alpha"], r["method"]) for r in rows] == \
+        [(a, m) for a in (0.5, 1.5) for m in METHODS]
+    for row, row_csv in zip(rows, rows_csv, strict=True):
+        out = tmp_path / "rep.json"
+        assert run(["cluster", *common, "--alpha", row["alpha"],
+                    "--method", row["method"], "--out", out]) == 0
+        report = json.loads(out.read_text())
+        expected = {k: report[k] for k in keys}
+        assert {k: row[k] for k in keys} == expected
+        assert row["dataset"] == "newsgroups" and row["seed"] == 3
+        assert {k: row_csv[k] for k in keys} == \
+            {k: str(v) for k, v in expected.items()}
 
 
 def test_oracle_subcommand(h0_file, capsys):
