@@ -10,6 +10,7 @@ keeps the hypergraph connected.
 """
 
 import gzip
+import importlib.util
 import io
 import tarfile
 from pathlib import Path
@@ -17,6 +18,15 @@ from pathlib import Path
 import numpy as np
 
 CATEGORIES = ("rec.motorcycles", "rec.sport.hockey")
+
+
+def bench_inputs():
+    """The benchmark's seeded input module, `bench/inputs.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_toy_newsgroup_archive(data_dir: Path, docs_per_cat: int = 80,

@@ -1,8 +1,6 @@
 """Random-walk Laplacian baseline and the EDVW-blind cardinality variant."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +12,8 @@ from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
 from hypercut.baselines import PI_MAX_ITERS, PI_TOL
 from hypercut.datasets import BinningSpec, build_covertype_from_table
 from hypercut.oracle import random_instance
+
+from _toydata import bench_inputs
 
 CLIQUE = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
 
@@ -29,11 +29,7 @@ def canonical(partition) -> bytes:
 
 def bench_covertype(n: int, seed: int = 1):
     """The benchmark's covertype-shaped hypergraph at alpha = 1."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return build_covertype_from_table(*inputs.covertype_table(n, seed),
+    return build_covertype_from_table(*bench_inputs().covertype_table(n, seed),
                                       BinningSpec(), 1.0).hypergraph
 
 

@@ -1,8 +1,6 @@
 """Hypergraph file format round-trips and parse failures."""
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +16,8 @@ from hypercut.datasets import (BinningSpec, CorpusSpec,
 from hypercut.errors import HypergraphFormatError
 from hypercut.io import _parse_text, from_json_dict
 from hypercut.oracle import random_instance
+
+from _toydata import bench_inputs
 
 
 def same_hypergraph(a, b):
@@ -52,14 +52,6 @@ def test_text_format_shape(tmp_path, h0):
     assert len(lines) == 2  # all-ones mu stays implicit
 
 
-def _bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 #: sha256 of the files written for the two benchmark shapes at alpha = 1; a
 #: change to the writer, the builders or the constructor's canonical order
 #: that moves a single byte shows here
@@ -77,7 +69,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("shape, suffix", sorted(GOLDEN))
 def test_bench_shaped_files_are_byte_stable(tmp_path, shape, suffix):
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     if shape == "covertype":
         build = build_covertype_from_table(*inputs.covertype_table(300, 1),
                                            BinningSpec(), 1.0)
