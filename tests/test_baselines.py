@@ -60,9 +60,9 @@ def test_rw_rows_stochastic_and_pi_fixed_point():
 
 @pytest.mark.parametrize("n", [600, 1600])
 def test_rw_products_are_bit_stable(n):
-    # the walk factors transposed afresh for every product, as the operator
-    # and the stationary loop once did: binding the transposes once must run
-    # the same sparse kernels on the same arrays, so every bit agrees
+    # reference: the walk factors transposed afresh for every product; the
+    # transposes bound once run the same sparse kernels on the same arrays,
+    # so every bit must agree
     rwl = build_rw_laplacian(bench_covertype(n))
     p_ve, p_ev = rwl.p_ve, rwl.p_ev
 
