@@ -14,8 +14,13 @@ from hypercut.core import (_as_float_array, _as_int64_array,
                            connected_component_labels, cut_increments,
                            sweep_order, weighted_median,
                            weighted_median_interval)
+from hypercut.datasets import (BinningSpec, CorpusSpec,
+                               build_covertype_from_table,
+                               build_newsgroups_from_documents)
 from hypercut.errors import DisconnectedGraphError
 from hypercut.oracle import random_instance
+
+from _toydata import bench_inputs
 
 SPECS = [SubmodularWeightSpec(h, g) for h in HKind for g in GKind]
 
@@ -166,9 +171,17 @@ def test_first_fault_matches_loop_reference(n, edges, data):
         assert gs.tolist() == np.asarray(gvals)[order].tolist()
 
 
+def bench_shaped_hypergraphs():
+    inputs = bench_inputs()
+    yield build_covertype_from_table(*inputs.covertype_table(600, 1),
+                                     BinningSpec(), 1.0).hypergraph
+    yield build_newsgroups_from_documents(*inputs.newsgroups_corpus(160, 1),
+                                          CorpusSpec(), 1.0).hypergraph
+
+
 def test_memberships_match_loop_reference():
-    for seed in range(8):
-        h = random_instance(seed, n=12, m=9)
+    instances = [random_instance(seed, n=12, m=9) for seed in range(8)]
+    for h in [*instances, *bench_shaped_hypergraphs()]:
         members, edge_of, gamma = h.memberships
         ref = [(int(v), e, float(g))
                for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma))
@@ -179,6 +192,9 @@ def test_memberships_match_loop_reference():
                         gamma.tolist())) == ref
         assert not (members.flags.writeable or edge_of.flags.writeable
                     or gamma.flags.writeable)
+        # bit for bit: each total is summed in member order
+        assert h.totals.tobytes() == np.array(
+            [gs.cumsum()[-1] for gs in h.gamma]).tobytes()
 
 
 def test_with_mu_validates_mu_and_shares_structure():
