@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import EdvwHypergraph
+from .core import EdvwHypergraph, split_by_sizes
 from .errors import SolverConvergenceError
 # re-exported: the benchmark's smoke tests size the operator-path run from it
 from .solver import DENSE_CAP  # noqa: F401
@@ -81,10 +81,9 @@ def build_rw_laplacian(h: EdvwHypergraph) -> RwLaplacian:
     members, edge_of, gamma = h.memberships
     # bincount adds in membership order: per vertex, in hyperedge order
     kdeg = np.bincount(members, h.kappa[edge_of], minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(edge_of, minlength=m))])
-    p_ev = sp.csr_array((gamma / h.totals[edge_of], members, indptr),
+    p_ev = sp.csr_array((gamma / h.totals[edge_of], members, h.offsets),
                         shape=(m, n))
-    p_ve = sp.csr_array((h.kappa[edge_of] / kdeg[members], members, indptr),
+    p_ve = sp.csr_array((h.kappa[edge_of] / kdeg[members], members, h.offsets),
                         shape=(m, n)).T.tocsr()
 
     pi = np.full(n, 1.0 / n)
@@ -115,9 +114,10 @@ def cardinality_variant(h: EdvwHypergraph,
     """
     from .datasets import kappa_from_std  # local import; datasets builds on core
 
-    sizes = [ms.size for ms in h.hyperedges]
-    ones = [np.ones(size) for size in sizes]
-    kappa = (kappa_from_std(h.memberships[0], np.ones(sum(sizes)), sizes,
-                            h.n_vertices)
+    members = h.memberships[0]
+    sizes = np.diff(h.offsets)
+    ones = np.ones(members.size)
+    kappa = (kappa_from_std(members, ones, sizes, h.n_vertices)
              if recompute_kappa_std else h.kappa)
-    return EdvwHypergraph(h.n_vertices, h.hyperedges, ones, kappa, h.mu)
+    return EdvwHypergraph(h.n_vertices, h.hyperedges,
+                          split_by_sizes(ones, sizes), kappa, h.mu)

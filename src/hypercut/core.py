@@ -59,10 +59,12 @@ class SubmodularWeightSpec:
         object.__setattr__(self, "h_kind", HKind(self.h_kind))
         object.__setattr__(self, "g_kind", GKind(self.g_kind))
 
-    def h(self, kappa: float) -> float:
+    def h(self, kappa):
+        """Evaluate h on a scalar or array of hyperedge strengths."""
+        kappa = np.asarray(kappa, dtype=np.float64)
         if self.h_kind is HKind.CONSTANT_ONE:
-            return 1.0
-        return float(kappa)
+            return np.ones_like(kappa)
+        return kappa
 
     def g(self, total: float, x):
         """Evaluate g on a scalar or array of gamma masses in [0, total]."""
@@ -141,7 +143,7 @@ def _checked_memberships(n: int, members: list, gammas: list) -> tuple:
     equal sizes.  All memberships are checked at once; the first faulty
     hyperedge is reported with its first failing check in
     `_MEMBERSHIP_FAULTS` order.  Returns the concatenated sorted members,
-    their gammas and the hyperedge sizes.
+    the hyperedge of each, their gammas and the hyperedge sizes.
     """
     sizes = np.array([ms.size for ms in members], dtype=np.int64)
     k = sizes.size
@@ -167,7 +169,7 @@ def _checked_memberships(n: int, members: list, gammas: list) -> tuple:
         e = int(np.argmax(faulty))
         check = int(np.argmax(faults[:, e]))
         raise ValueError(f"hyperedge {e} {_MEMBERSHIP_FAULTS[check]}")
-    return flat, gamma, sizes
+    return flat, edge_of, gamma, sizes
 
 
 def split_by_sizes(flat: np.ndarray, sizes) -> list:
@@ -213,6 +215,18 @@ class EdvwHypergraph:
     kappa : positive finite floats, one per hyperedge.
     mu : positive finite vertex weights; defaults to all ones.
 
+    Attributes
+    ----------
+    memberships : tuple of three read-only arrays
+        (vertex, hyperedge id, gamma) of every membership, hyperedge-major
+        and sorted by vertex id within a hyperedge: the validated layout
+        that every cut, expansion and walk reads.
+    offsets : read-only int64 array of n_hyperedges + 1 entries
+        Hyperedge e holds memberships offsets[e]:offsets[e + 1]; these are
+        the CSR row pointers of the hyperedge-by-vertex incidence.
+    hyperedges, gamma : tuples of read-only views
+        The per-hyperedge slices of `memberships`.
+
     The model assumes a connected hypergraph: a vertex in no hyperedge or a
     second component raises DisconnectedGraphError.
     """
@@ -249,7 +263,8 @@ class EdvwHypergraph:
             members.append(ms)
             gammas.append(gs)
         if members:  # a fault in an earlier hyperedge is reported first
-            flat, gamma, sizes = _checked_memberships(n, members, gammas)
+            flat, edge_of, gamma, sizes = _checked_memberships(
+                n, members, gammas)
         if fault is not None:
             raise fault
 
@@ -258,7 +273,9 @@ class EdvwHypergraph:
             raise DisconnectedGraphError(
                 f"n_vertices {n} exceeds the total hyperedge membership, "
                 "so some vertex lies in no hyperedge")
-        for a in (flat, gamma):
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        for a in (flat, edge_of, gamma, offsets):
             a.setflags(write=False)  # and so are the per-hyperedge views
         members_out = tuple(split_by_sizes(flat, sizes))
         gamma_out = tuple(split_by_sizes(gamma, sizes))
@@ -275,6 +292,8 @@ class EdvwHypergraph:
         object.__setattr__(self, "gamma", gamma_out)
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "mu", _checked_mu(self.mu, n))
+        object.__setattr__(self, "memberships", (flat, edge_of, gamma))
+        object.__setattr__(self, "offsets", offsets)
 
         labels = connected_component_labels(n, flat, sizes)
         if labels.max() != 0:
@@ -296,20 +315,11 @@ class EdvwHypergraph:
         seed-1 bench inputs), and a prefix holding all of e keeps that
         residual of e's cut instead of zero.
         """
-        t = np.array([g.cumsum()[-1] for g in self.gamma])
+        _, edge_of, gamma = self.memberships
+        # bincount adds in membership order, as a cumsum per hyperedge would
+        t = np.bincount(edge_of, gamma, minlength=self.n_hyperedges)
         t.setflags(write=False)
         return t
-
-    @cached_property
-    def memberships(self) -> tuple:
-        """(vertex, hyperedge id, gamma) of every membership, hyperedge-major."""
-        members = np.concatenate(self.hyperedges)
-        edge_of = np.repeat(np.arange(self.n_hyperedges),
-                            [ms.size for ms in self.hyperedges])
-        gamma = np.concatenate(self.gamma)
-        for a in (members, edge_of, gamma):
-            a.setflags(write=False)
-        return members, edge_of, gamma
 
     def with_mu(self, mu) -> "EdvwHypergraph":
         """Return a copy with replaced vertex weights.
@@ -382,13 +392,12 @@ def cut_increments(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     """
     members, edge_of, gamma = h.memberships
     order = np.lexsort((rank[members], edge_of))
-    starts = np.flatnonzero(np.diff(edge_of, prepend=-1))
+    starts = h.offsets[:-1]
     mass = np.cumsum(gamma[order])
     base = np.zeros(h.n_hyperedges)
     base[1:] = mass[starts[1:] - 1]
     mass -= base[edge_of]  # edge_of[order] == edge_of: segments stay put
-    h_vals = np.array([spec.h(k) for k in h.kappa])
-    after = h_vals[edge_of] * spec.g(h.totals[edge_of], mass)
+    after = spec.h(h.kappa)[edge_of] * spec.g(h.totals[edge_of], mass)
     before = np.empty_like(after)
     before[1:] = after[:-1]
     before[starts] = 0.0  # g(T, 0) = 0
@@ -406,7 +415,7 @@ def cut_weight(h: EdvwHypergraph, spec: SubmodularWeightSpec, subset) -> float:
     for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
         mass = float(gs @ mask[ms])
         total += spec.h(h.kappa[e]) * float(spec.g(float(h.totals[e]), mass))
-    return total
+    return float(total)
 
 
 def _theta_exact(spec: SubmodularWeightSpec, kappa_e: float,

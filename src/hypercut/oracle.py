@@ -28,7 +28,7 @@ def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec):
         raise ValueError(
             f"refusing exact enumeration for n={n} > {MAX_EXACT_VERTICES}")
     n_masks = (1 << (n - 1))  # masks over vertices 1..n-1; 0 stays out of S
-    h_vals = np.array([spec.h(k) for k in h.kappa])
+    h_vals = spec.h(h.kappa)
     totals = h.totals
     mu_bits = h.mu[1:]
 

@@ -69,9 +69,9 @@ def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec) -> WeightedGrap
     if spec.g_kind is not GKind.CLIQUE:
         raise UnsupportedReductionError(
             f"no clique expansion for g kind {spec.g_kind.value!r}")
-    n = h.n_vertices
+    n, m = h.n_vertices, h.n_hyperedges
     members, edge_of, gamma = h.memberships
-    sizes = np.bincount(edge_of, minlength=h.n_hyperedges)
+    sizes = np.diff(h.offsets)
     total_pairs = int((sizes * (sizes - 1) // 2).sum())
     if total_pairs > DEFAULT_PAIR_BUDGET:
         logger.warning(
@@ -81,11 +81,9 @@ def clique_expand(h: EdvwHypergraph, spec: SubmodularWeightSpec) -> WeightedGrap
 
     # A = B diag(h(kappa)) B^T without its diagonal, B the n x m matrix of
     # the gamma values: one sparse product over the memberships
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    b_t = sp.csr_array((gamma, members, indptr), shape=(h.n_hyperedges, n))
-    h_kappa = np.array([spec.h(k) for k in h.kappa.tolist()])
-    hb_t = sp.csr_array((h_kappa[edge_of] * gamma, members, indptr),
-                        shape=(h.n_hyperedges, n))
+    b_t = sp.csr_array((gamma, members, h.offsets), shape=(m, n))
+    hb_t = sp.csr_array((spec.h(h.kappa)[edge_of] * gamma, members,
+                         h.offsets), shape=(m, n))
     adj = b_t.T.tocsr() @ hb_t
     adj.setdiag(0.0)
     adj.eliminate_zeros()

@@ -191,7 +191,14 @@ def test_memberships_match_loop_reference():
         assert list(zip(members.tolist(), edge_of.tolist(),
                         gamma.tolist())) == ref
         assert not (members.flags.writeable or edge_of.flags.writeable
-                    or gamma.flags.writeable)
+                    or gamma.flags.writeable or h.offsets.flags.writeable)
+        assert h.offsets.dtype == np.int64
+        assert h.offsets.size == h.n_hyperedges + 1 and h.offsets[0] == 0
+        for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
+            part = slice(h.offsets[e], h.offsets[e + 1])
+            assert np.array_equal(members[part], ms)
+            assert np.array_equal(gamma[part], gs)
+            assert (edge_of[part] == e).all()
         # bit for bit: each total is summed in member order
         assert h.totals.tobytes() == np.array(
             [gs.cumsum()[-1] for gs in h.gamma]).tobytes()
@@ -199,7 +206,7 @@ def test_memberships_match_loop_reference():
 
 def test_with_mu_validates_mu_and_shares_structure():
     h = random_instance(3, n=12, m=9)
-    h.memberships, h.totals  # fill the caches
+    h.totals  # fill the cache
     mu = np.arange(1.0, 13.0)
     h2 = h.with_mu(mu)
     assert h2.mu.tolist() == mu.tolist() and not h2.mu.flags.writeable
@@ -207,6 +214,7 @@ def test_with_mu_validates_mu_and_shares_structure():
     assert h2.mu[0] == 1.0 and h.mu.tolist() == [1.0] * 12
     assert h2.hyperedges is h.hyperedges and h2.kappa is h.kappa
     assert h2.memberships is h.memberships and h2.totals is h.totals
+    assert h2.offsets is h.offsets
     for bad in (np.ones(11), np.r_[np.ones(11), 0.0],
                 np.r_[np.ones(11), np.inf], np.r_[np.ones(11), np.nan]):
         with pytest.raises(ValueError):
@@ -512,6 +520,17 @@ def test_r1_functional_matches_summed_lovasz_extensions(spec):
             denominator = float(h.mu @ np.abs(x - weighted_median(x, h.mu)))
             assert r1_functional(h, spec, x) == \
                 pytest.approx(numerator / denominator, rel=1e-12)
+
+
+@pytest.mark.parametrize("h_kind", list(HKind))
+def test_h_on_an_array_matches_the_scalar_map(h_kind):
+    spec = SubmodularWeightSpec(h_kind, GKind.CLIQUE)
+    kappa = random_instance(5, n=14, m=10).kappa
+    scalar = {HKind.CONSTANT_ONE: lambda k: 1.0, HKind.IDENTITY: float}[h_kind]
+    out = spec.h(kappa)
+    assert out.dtype == np.float64
+    assert out.tolist() == [scalar(k) for k in kappa.tolist()]
+    assert [float(spec.h(k)) for k in kappa] == out.tolist()
 
 
 @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0),
