@@ -215,17 +215,10 @@ class EdvwHypergraph:
     kappa : positive finite floats, one per hyperedge.
     mu : positive finite vertex weights; defaults to all ones.
 
-    Attributes
-    ----------
-    memberships : tuple of three read-only arrays
-        (vertex, hyperedge id, gamma) of every membership, hyperedge-major
-        and sorted by vertex id within a hyperedge: the validated layout
-        that every cut, expansion and walk reads.
-    offsets : read-only int64 array of n_hyperedges + 1 entries
-        Hyperedge e holds memberships offsets[e]:offsets[e + 1]; these are
-        the CSR row pointers of the hyperedge-by-vertex incidence.
-    hyperedges, gamma : tuples of read-only views
-        The per-hyperedge slices of `memberships`.
+    `memberships` keeps the validated (vertex, hyperedge id, gamma) arrays,
+    read-only and hyperedge-major, that every cut, expansion and walk reads;
+    hyperedge e holds their entries offsets[e]:offsets[e + 1], and
+    `hyperedges` and `gamma` are views of these per-hyperedge slices.
 
     The model assumes a connected hypergraph: a vertex in no hyperedge or a
     second component raises DisconnectedGraphError.
@@ -273,8 +266,7 @@ class EdvwHypergraph:
             raise DisconnectedGraphError(
                 f"n_vertices {n} exceeds the total hyperedge membership, "
                 "so some vertex lies in no hyperedge")
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
         for a in (flat, edge_of, gamma, offsets):
             a.setflags(write=False)  # and so are the per-hyperedge views
         members_out = tuple(split_by_sizes(flat, sizes))
@@ -316,7 +308,6 @@ class EdvwHypergraph:
         residual of e's cut instead of zero.
         """
         _, edge_of, gamma = self.memberships
-        # bincount adds in membership order, as a cumsum per hyperedge would
         t = np.bincount(edge_of, gamma, minlength=self.n_hyperedges)
         t.setflags(write=False)
         return t
@@ -392,15 +383,14 @@ def cut_increments(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     """
     members, edge_of, gamma = h.memberships
     order = np.lexsort((rank[members], edge_of))
-    starts = h.offsets[:-1]
     mass = np.cumsum(gamma[order])
     base = np.zeros(h.n_hyperedges)
-    base[1:] = mass[starts[1:] - 1]
+    base[1:] = mass[h.offsets[1:-1] - 1]
     mass -= base[edge_of]  # edge_of[order] == edge_of: segments stay put
     after = spec.h(h.kappa)[edge_of] * spec.g(h.totals[edge_of], mass)
     before = np.empty_like(after)
     before[1:] = after[:-1]
-    before[starts] = 0.0  # g(T, 0) = 0
+    before[h.offsets[:-1]] = 0.0  # g(T, 0) = 0
     increments = np.empty_like(after)
     increments[order] = after - before
     return increments
