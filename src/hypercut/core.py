@@ -401,11 +401,10 @@ def cut_weight(h: EdvwHypergraph, spec: SubmodularWeightSpec, subset) -> float:
     mask = as_subset_mask(h.n_vertices, subset)
     if not mask.any() or mask.all():
         raise ValueError("cut is undefined for the empty or full vertex set")
-    total = 0.0
-    for e, (ms, gs) in enumerate(zip(h.hyperedges, h.gamma)):
-        mass = float(gs @ mask[ms])
-        total += spec.h(h.kappa[e]) * float(spec.g(float(h.totals[e]), mass))
-    return float(total)
+    members, edge_of, gamma = h.memberships
+    # summed in member order, as totals is: a hyperedge inside S costs 0
+    mass = np.bincount(edge_of, gamma * mask[members])
+    return float((spec.h(h.kappa) * spec.g(h.totals, mass)).cumsum()[-1])
 
 
 def _theta_exact(spec: SubmodularWeightSpec, kappa_e: float,

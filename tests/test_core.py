@@ -289,6 +289,25 @@ def test_cut_weight_examples(h0, spec_clique):
             cut_weight(h0, spec_clique, bad)
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_cut_weight_is_the_sum_of_hyperedge_weights(spec):
+    # hyperedge 0 lies wholly inside S, so it costs exactly zero and the
+    # cut is exactly w_1(S) = h(1) * g(2, 1)
+    rng = np.random.default_rng(2)
+    h = EdvwHypergraph(34, [range(32), [31, 32], [32, 33]],
+                       [rng.uniform(0.5, 2.0, 32), [1, 1], [1, 1]], [1, 1, 1])
+    assert cut_weight(h, spec, range(32)) == 1.0
+    for seed in range(20):
+        h = random_instance(seed, n=30, m=12, max_size=20)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            mask = rng.random(30) < rng.uniform(0.1, 0.9)
+            if mask.any() and not mask.all():
+                assert cut_weight(h, spec, mask) == sum(
+                    submodular_weight(h, spec, e, mask)
+                    for e in range(h.n_hyperedges))
+
+
 def test_theta_and_degree_examples(h0, spec_clique):
     theta, deg = theta_and_degree(h0, spec_clique)
     assert theta.tolist() == [9.0]
