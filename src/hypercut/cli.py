@@ -31,6 +31,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
+#: EDVW exponent of `build` and `cluster --dataset` when --alpha is not given
+DEFAULT_ALPHA = 1.0
 DEFAULT_ALPHA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
 logger = logging.getLogger(__name__)
@@ -119,9 +121,9 @@ def _read_sidecar(path: Path, n_vertices: int) -> tuple:
 def _prepare(args, alpha: float | None):
     """`run_method` bound to the command's input, read or built once.
 
-    A file input is read with its sidecar; a dataset is built at `alpha`
-    (0 when unset).  The result takes the method, the IPM config and the
-    report's alpha, so one input serves every method run on it.
+    A file input is read with its sidecar; a dataset is built at `alpha`.
+    The result takes the method, the IPM config and the report's alpha, so
+    one input serves every method run on it.
     """
     if args.input:
         h = read_hypergraph(args.input)
@@ -136,7 +138,7 @@ def _prepare(args, alpha: float | None):
         return partial(run_method, h, labels, source=str(args.input),
                        mu_mode=mu_mode, cardinality_recompute_kappa=False,
                        provenance=provenance)
-    build = _build_dataset(args, alpha if alpha is not None else 0.0)
+    build = _build_dataset(args, alpha)
     return partial(run_method, build.hypergraph, build.labels,
                    source=args.dataset, mu_mode=args.mu or "degree",
                    cardinality_recompute_kappa=True,
@@ -144,9 +146,15 @@ def _prepare(args, alpha: float | None):
 
 
 def cmd_cluster(args) -> int:
+    if args.input and args.alpha is not None:
+        raise ValueError("--alpha applies to --dataset only; a file keeps "
+                         "the EDVWs of the alpha it was built at")
     _check_writable(*[p for p in (args.out, args.export_graph) if p])
-    solve = _prepare(args, args.alpha)
-    report = solve(args.method, _cfg_from_args(args), alpha=args.alpha,
+    alpha = args.alpha
+    if args.dataset and alpha is None:
+        alpha = DEFAULT_ALPHA
+    solve = _prepare(args, alpha)
+    report = solve(args.method, _cfg_from_args(args), alpha=alpha,
                    export_graph=args.export_graph)
     text = report.to_json(include_timings=args.timings)
     if args.out:
@@ -230,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a hypergraph file from a dataset")
     p.add_argument("dataset", choices=sorted(datasets.DATASET_FILES))
-    p.add_argument("--alpha", type=float, default=1.0, help="EDVW exponent")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                   help=f"EDVW exponent (default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--out", required=True,
                    help="output path (.json selects the JSON mirror format)")
@@ -242,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--dataset", choices=sorted(datasets.DATASET_FILES))
     p.add_argument("--method", choices=METHODS, default="edvw-1lap")
     p.add_argument("--alpha", type=float, default=None,
-                   help="EDVW exponent (dataset inputs)")
+                   help=f"EDVW exponent of a --dataset build "
+                        f"(default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--mu", choices=["degree", "ones", "keep"], default=None,
                    help="vertex weights (default: degree; file inputs with "

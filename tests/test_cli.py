@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hypercut.datasets
-from hypercut import write_hypergraph
+from hypercut import (GKind, HKind, SubmodularWeightSpec, evaluate_partition,
+                      read_hypergraph, write_hypergraph)
 from hypercut.cli import main
 from hypercut.report import METHODS, clustering_error
 
@@ -98,6 +99,30 @@ def test_cluster_report_self_contained(h0_file, tmp_path):
     rerun = json.loads(out2.read_text())
     assert rerun["ncc"] == report["ncc"]
     assert rerun["partition"] == report["partition"]
+
+
+def test_cluster_mu_ones_weighs_every_vertex_one(h0_file, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["cluster", "--input", h0_file, "--mu", "ones",
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["mu_mode"] == "ones"
+    h = read_hypergraph(h0_file)
+    spec = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
+    partition = np.array(report["partition"], dtype=bool)
+    assert report["ncc"] == evaluate_partition(
+        h.with_mu(np.ones(h.n_vertices)), spec, partition).ncc
+
+
+def test_cluster_alpha_with_input_refused_before_any_work(h0_file, tmp_path,
+                                                          capsys):
+    # a file's EDVWs were built at the alpha of its build, not this one
+    out = tmp_path / "r.json"
+    assert run(["cluster", "--input", h0_file, "--alpha", "2.5",
+                "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: --alpha applies to --dataset only")
+    assert not out.exists()
 
 
 def test_cluster_export_graph(h0_file, tmp_path):
@@ -267,6 +292,18 @@ def test_cluster_dataset_covertype(toy_cov_dir, tmp_path):
     assert np.isfinite(report["ncc"]) and np.isfinite(report["lambda"])
 
 
+def test_cluster_dataset_defaults_to_alpha_one(toy_cov_dir, tmp_path):
+    # as `build` does: the EDVWs stay on, and the report says so
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    common = ["cluster", "--dataset", "covertype", "--data-dir", toy_cov_dir,
+              "--restarts", "1"]
+    assert run([*common, "--out", default]) == 0
+    assert run([*common, "--alpha", "1", "--out", explicit]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    report = json.loads(default.read_text())
+    assert report["alpha"] == report["config"]["alpha"] == 1.0
+
+
 def test_sweep_rows_and_alpha_zero_equivalence(toy_news_dir, tmp_path):
     prefix = tmp_path / "sweep"
     assert run(["sweep", "--dataset", "newsgroups", "--data-dir", toy_news_dir,
@@ -352,6 +389,24 @@ def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):
         assert row["dataset"] == "newsgroups" and row["seed"] == 3
         assert {k: row_csv[k] for k in keys} == \
             {k: str(v) for k, v in expected.items()}
+
+
+def test_sweep_mu_ones_rows_use_unit_weights(toy_news_dir, tmp_path):
+    common = ["--dataset", "newsgroups", "--data-dir", toy_news_dir,
+              "--restarts", "1", "--mu", "ones"]
+    assert run(["sweep", *common, "--alphas", "1", "--methods", "edvw-1lap",
+                "--out-prefix", tmp_path / "sweep"]) == 0
+    [row] = json.loads((tmp_path / "sweep.json").read_text())
+    out = tmp_path / "rep.json"
+    assert run(["cluster", *common, "--alpha", "1", "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["mu_mode"] == "ones"
+    h = hypercut.datasets.build_newsgroups_hypergraph(
+        toy_news_dir, hypercut.datasets.CorpusSpec(), 1.0).hypergraph
+    spec = SubmodularWeightSpec(HKind.IDENTITY, GKind.CLIQUE)
+    partition = np.array(report["partition"], dtype=bool)
+    assert row["ncc"] == report["ncc"] == evaluate_partition(
+        h.with_mu(np.ones(h.n_vertices)), spec, partition).ncc
 
 
 def test_oracle_subcommand(h0_file, capsys):
