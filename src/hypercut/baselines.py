@@ -114,10 +114,9 @@ def cardinality_variant(h: EdvwHypergraph,
     """
     from .datasets import kappa_from_std  # local import; datasets builds on core
 
-    members = h.memberships[0]
     sizes = np.diff(h.offsets)
-    ones = np.ones(members.size)
-    kappa = (kappa_from_std(members, ones, sizes, h.n_vertices)
+    ones = np.ones(h.offsets[-1])
+    kappa = (kappa_from_std(h.memberships[0], ones, sizes, h.n_vertices)
              if recompute_kappa_std else h.kappa)
     return EdvwHypergraph(h.n_vertices, h.hyperedges,
                           split_by_sizes(ones, sizes), kappa, h.mu)

@@ -31,7 +31,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-#: EDVW exponent of `build` and `cluster --dataset` when --alpha is not given
 DEFAULT_ALPHA = 1.0
 DEFAULT_ALPHA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
@@ -150,9 +149,7 @@ def cmd_cluster(args) -> int:
         raise ValueError("--alpha applies to --dataset only; a file keeps "
                          "the EDVWs of the alpha it was built at")
     _check_writable(*[p for p in (args.out, args.export_graph) if p])
-    alpha = args.alpha
-    if args.dataset and alpha is None:
-        alpha = DEFAULT_ALPHA
+    alpha = DEFAULT_ALPHA if args.dataset and args.alpha is None else args.alpha
     solve = _prepare(args, alpha)
     report = solve(args.method, _cfg_from_args(args), alpha=alpha,
                    export_graph=args.export_graph)
@@ -251,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--dataset", choices=sorted(datasets.DATASET_FILES))
     p.add_argument("--method", choices=METHODS, default="edvw-1lap")
     p.add_argument("--alpha", type=float, default=None,
-                   help=f"EDVW exponent of a --dataset build "
-                        f"(default {DEFAULT_ALPHA})")
+                   help=f"EDVW exponent (--dataset only; default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--mu", choices=["degree", "ones", "keep"], default=None,
                    help="vertex weights (default: degree; file inputs with "

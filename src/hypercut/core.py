@@ -269,8 +269,6 @@ class EdvwHypergraph:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         for a in (flat, edge_of, gamma, offsets):
             a.setflags(write=False)  # and so are the per-hyperedge views
-        members_out = tuple(split_by_sizes(flat, sizes))
-        gamma_out = tuple(split_by_sizes(gamma, sizes))
         kap = _as_float_array(self.kappa, "kappa")
         if kap.size != sizes.size:
             raise ValueError("kappa length must match the number of hyperedges")
@@ -280,8 +278,9 @@ class EdvwHypergraph:
         kap.setflags(write=False)
 
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "hyperedges", members_out)
-        object.__setattr__(self, "gamma", gamma_out)
+        object.__setattr__(self, "hyperedges",
+                           tuple(split_by_sizes(flat, sizes)))
+        object.__setattr__(self, "gamma", tuple(split_by_sizes(gamma, sizes)))
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "mu", _checked_mu(self.mu, n))
         object.__setattr__(self, "memberships", (flat, edge_of, gamma))

@@ -29,7 +29,6 @@ def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec):
             f"refusing exact enumeration for n={n} > {MAX_EXACT_VERTICES}")
     n_masks = (1 << (n - 1))  # masks over vertices 1..n-1; 0 stays out of S
     h_vals = spec.h(h.kappa)
-    totals = h.totals
     mu_bits = h.mu[1:]
 
     best = np.inf
@@ -46,7 +45,7 @@ def exact_h2(h: EdvwHypergraph, spec: SubmodularWeightSpec):
                 if vtx == 0:
                     continue  # vertex 0 is never in S
                 mass += gamma * bits[vtx - 1]
-            cut += h_vals[e] * spec.g(float(totals[e]), mass)
+            cut += h_vals[e] * spec.g(float(h.totals[e]), mass)
         vol_s = np.zeros(masks.size)
         for v in range(1, n):
             vol_s += mu_bits[v - 1] * bits[v - 1]
