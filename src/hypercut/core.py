@@ -401,7 +401,7 @@ def cut_weight(h: EdvwHypergraph, spec: SubmodularWeightSpec, subset) -> float:
     if not mask.any() or mask.all():
         raise ValueError("cut is undefined for the empty or full vertex set")
     members, edge_of, gamma = h.memberships
-    # summed in member order, as totals is: a hyperedge inside S costs 0
+    # member-order sums, as in totals: a hyperedge inside S costs exactly 0
     mass = np.bincount(edge_of, gamma * mask[members])
     return float((spec.h(h.kappa) * spec.g(h.totals, mass)).cumsum()[-1])
 
