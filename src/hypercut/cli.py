@@ -40,7 +40,9 @@ logger = logging.getLogger(__name__)
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--restarts", type=int, default=5,
-                   help="IPM restarts (first one is spectrally initialized)")
+                   help="IPM restarts: the first starts at the spectral "
+                        "vector, each other at the best sweep cut of a "
+                        "seeded random draw")
 
 
 def _cfg_from_args(args) -> IpmConfig:
@@ -122,7 +124,9 @@ def _prepare(args, alpha: float | None):
 
     A file input is read with its sidecar; a dataset is built at `alpha`.
     The result takes the method, the IPM config and the report's alpha, so
-    one input serves every method run on it.
+    one input serves every method run on it.  `cardinality-1lap` recomputes
+    kappa from the unit weights for both, so a built file and the build it
+    holds give one answer.
     """
     if args.input:
         h = read_hypergraph(args.input)
@@ -135,12 +139,10 @@ def _prepare(args, alpha: float | None):
         mu_mode = args.mu if args.mu else ("keep" if not np.all(h.mu == 1.0)
                                            else "degree")
         return partial(run_method, h, labels, source=str(args.input),
-                       mu_mode=mu_mode, cardinality_recompute_kappa=False,
-                       provenance=provenance)
+                       mu_mode=mu_mode, provenance=provenance)
     build = _build_dataset(args, alpha)
     return partial(run_method, build.hypergraph, build.labels,
                    source=args.dataset, mu_mode=args.mu or "degree",
-                   cardinality_recompute_kappa=True,
                    provenance=build.provenance)
 
 

@@ -35,6 +35,11 @@ supersets, which a single max flow on the graph without the arcs across S
 decides (`snapped_descent`).  A restart ends when it rules descent out; the
 prox runs only when it does not.  `MAX_OUTER_ITERS` only guards against a
 restart that the certificate does not end; none has been seen.
+
+The spectral restart starts at the 2-Laplacian eigenvector, whose first prox
+improves on its best sweep cut.  A random draw's first prox typically lands
+on the draw's best sweep cut itself, so a random restart starts at the
+centered indicator of that cut and runs the certificate before any prox.
 """
 
 from __future__ import annotations
@@ -84,7 +89,9 @@ class IpmConfig:
 
     inner_tol: float = 1e-8          # inert: the inner solve is exact; kept
                                      # because bench/harness.py pins it
-    n_restarts: int = 5              # first run is spectrally initialized
+    n_restarts: int = 5              # first run starts at the spectral
+                                     # vector, the others at the best sweep
+                                     # cut of a seeded random draw
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -475,21 +482,30 @@ def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
     return inv_sqrt_mu * y
 
 
-def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int) -> EigResult:
+def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int,
+             drawn: bool) -> EigResult:
     mu = g.mu
+    if drawn:
+        # a random draw holds nothing the first prox could use: start at its
+        # best sweep cut, whose NCC the thresholding bound keeps at or below
+        # R1 of the draw, and let the certificate decide the first step
+        start = graph_threshold_partition(x0, g)
+        x0 = start.side_of.astype(np.float64)
     x = _center_normalize(x0, mu)
     if x is None:
         raise ValueError("initial vector is constant")
     lam = graph_r1(g, x)
-    trace = [IpmIterate(lam, graph_threshold_partition(x, g).ncc)]
+    if not drawn:  # a drawn start is a cut, its own best level set
+        start = graph_threshold_partition(x, g)
+    trace = [IpmIterate(lam, start.ncc)]
     converged = False
     iters = 0
     for k in range(MAX_OUTER_ITERS):
         iters = k + 1
         v = median_subgradient(x, mu)
-        # every iterate after the first is snapped: the split max flow
-        # decides whether descent is left before any prox is computed
-        if k and not snapped_descent(g, v, lam):
+        # every iterate after the first, and a drawn start, is snapped: the
+        # split max flow decides whether descent is left before any prox
+        if (k or drawn) and not snapped_descent(g, v, lam):
             converged = True
             break
         inner = inner_tv_solve(g, v, lam, x_prev=x)
@@ -523,12 +539,14 @@ def _usable_cpus() -> int:
 def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResult:
     """Multi-restart inverse power method for the graph 1-Laplacian.
 
-    One restart starts from the 2-Laplacian spectral vector, the remainder
-    from seeded random vectors; the restart whose final thresholded NCC is
-    smallest wins (index order breaks ties).  R1 decreases monotonically
-    within every restart, and a restart ends when the max flow split along
-    its snapped cut finds no descent.  Restarts run concurrently on up to one
-    thread per usable CPU; the result does not depend on the thread count.
+    Restart 0 starts from the 2-Laplacian spectral vector, the others from
+    the best sweep cut of a seeded random vector, as does restart 0 when the
+    spectral init fails; a restart that starts on a cut runs the certificate
+    before any prox.  The restart whose final thresholded NCC is smallest
+    wins (index order breaks ties).  R1 decreases monotonically within every
+    restart, and a restart ends when the max flow split along its snapped
+    cut finds no descent.  Restarts run concurrently on up to one thread per
+    usable CPU; the result does not depend on the thread count.
     """
     cfg = cfg or IpmConfig()
     ncomp, _ = connected_components(g.adjacency, directed=False)
@@ -537,18 +555,15 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
             f"graph has {ncomp} components; the IPM needs a connected graph")
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
-    inits: list[np.ndarray] = []
+    inits = []  # (start vector, whether it is a random draw)
     try:
-        inits.append(_spectral_init(g, cfg.rng_seed))
+        inits.append((_spectral_init(g, cfg.rng_seed), False))
     except SolverConvergenceError as exc:
         logger.warning("spectral initialization failed (%s); using random", exc)
-        inits.append(np.random.default_rng(seeds[0]).standard_normal(g.n_vertices))
-    for i in range(1, cfg.n_restarts):
-        rng = np.random.default_rng(seeds[i])
-        x0 = rng.standard_normal(g.n_vertices)
-        while _center_normalize(x0, g.mu) is None:  # vanishing draws are resampled
-            x0 = rng.standard_normal(g.n_vertices)
-        inits.append(x0)
+    # restart i draws from seeds[i], restart 0 too when the spectral init
+    # failed; a normal draw on two or more vertices is not constant
+    inits += [(np.random.default_rng(s).standard_normal(g.n_vertices), True)
+              for s in seeds[len(inits):]]
 
     # cached_property is not thread-safe: fill the caches before the pool
     g.edges, g.weighted_degrees
@@ -560,10 +575,10 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
     def drain():
         while True:
             try:
-                i, x0 = pending.get_nowait()
+                i, (x0, drawn) = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, i)
+            outcomes[i] = _ipm_run(g, x0, i, drawn)
 
     # this thread is one of the workers: each extra thread keeps a malloc
     # arena as large as its max-flow buffers after the pool is gone

@@ -282,6 +282,23 @@ def test_cluster_on_built_file_uses_sidecar_labels(toy_news_dir, tmp_path):
     assert 0.0 <= report["error"] <= 0.5
 
 
+def test_cardinality_baseline_same_on_built_file_and_dataset(toy_news_dir,
+                                                             tmp_path):
+    # the baseline recomputes kappa from unit weights whichever way the
+    # hypergraph is read, so a build and the file it wrote agree
+    built = tmp_path / "news.hg"
+    assert run(["build", "newsgroups", "--data-dir", toy_news_dir,
+                "--out", built]) == 0
+    from_file, from_build = tmp_path / "file.json", tmp_path / "build.json"
+    common = ["cluster", "--method", "cardinality-1lap"]
+    assert run([*common, "--input", built, "--out", from_file]) == 0
+    assert run([*common, "--dataset", "newsgroups", "--data-dir", toy_news_dir,
+                "--out", from_build]) == 0
+    a, b = (json.loads(p.read_text()) for p in (from_file, from_build))
+    assert a["partition"] == b["partition"]
+    assert a["ncc"] == b["ncc"]
+
+
 def test_cluster_dataset_covertype(toy_cov_dir, tmp_path):
     rep_path = tmp_path / "rep.json"
     assert run(["cluster", "--dataset", "covertype", "--alpha", "1.0",

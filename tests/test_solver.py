@@ -13,7 +13,7 @@ from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       exact_h2, ipm_second_eigvec, optimal_threshold,
                       r1_functional, second_eigvec_2lap, with_degree_mu)
 from hypercut.core import weighted_median
-from hypercut.errors import DisconnectedGraphError
+from hypercut.errors import DisconnectedGraphError, SolverConvergenceError
 from hypercut.oracle import random_instance
 from hypercut.reduction import graph_total_variation
 from hypercut.solver import (_center_normalize, graph_r1,
@@ -303,6 +303,53 @@ def test_certificate_alone_ends_every_restart(monkeypatch):
         assert converged and count == iters - 1
 
 
+@pytest.mark.parametrize("spectral_fails", [False, True])
+def test_random_restarts_start_at_their_draws_best_sweep_cut(monkeypatch,
+                                                             spectral_fails):
+    # a random restart starts at the centered indicator of its draw's best
+    # sweep cut, so its first trace entry is that cut's NCC, and it runs the
+    # certificate before any prox: a start that admits no descent makes no
+    # inner call.  Restart 0's random fallback follows the same rule.
+    calls, runs = [0], {}
+    inner, run = hypercut.solver.inner_tv_solve, hypercut.solver._ipm_run
+
+    def counting_inner(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    def recording_run(*args):
+        calls[0] = 0
+        res = run(*args)
+        runs[res.restart_index] = (calls[0], res)
+        return res
+
+    def failing_init(*args):
+        raise SolverConvergenceError("no spectral vector")
+
+    monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_inner)
+    monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
+    monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: 1)
+    if spectral_fails:
+        monkeypatch.setattr(hypercut.solver, "_spectral_init", failing_init)
+    stuck = 0
+    for seed in range(len(PINNED_IPM_RESULTS)):
+        g = expanded(with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE))
+        runs.clear()
+        ipm_second_eigvec(g, IpmConfig(rng_seed=seed))
+        seeds = np.random.SeedSequence(seed).spawn(5)
+        for i in range(0 if spectral_fails else 1, 5):
+            count, res = runs[i]
+            draw = np.random.default_rng(seeds[i]).standard_normal(g.n_vertices)
+            part = graph_threshold_partition(draw, g)
+            assert res.trace[0].lam == pytest.approx(part.ncc, rel=1e-12), (seed, i)
+            start = _center_normalize(part.side_of.astype(np.float64), g.mu)
+            if not snapped_descent(g, median_subgradient(start, g.mu),
+                                   res.trace[0].lam):
+                stuck += 1
+                assert count == 0 and res.iters == 1, (seed, i)
+    assert stuck > 0  # both branches are exercised
+
+
 def test_ipm_rejects_disconnected():
     adj = sp.csr_array(np.array([[0.0, 1.0, 0.0, 0.0],
                                  [1.0, 0.0, 0.0, 0.0],
@@ -331,8 +378,8 @@ def test_ipm_deterministic_given_seed(h0):
 
 
 def test_ipm_restart_pool_matches_sequential(monkeypatch):
-    # restart 1 wins and is the slowest of the four, so restart order and
-    # completion order differ when they run side by side
+    # restart 1 wins and takes longer than restarts 0 and 3, so restart order
+    # and completion order differ when they run side by side
     h = with_degree_mu(random_instance(1, n=40, m=30), CLIQUE)
     cfg = IpmConfig(n_restarts=4, rng_seed=7)
     helpers = []
@@ -528,3 +575,21 @@ def test_ipm_matches_oracle_on_small_instances():
         assert part.ncc >= h2 - 1e-9
         hits += abs(part.ncc - h2) <= 1e-9
     assert hits >= 8
+
+
+def test_ipm_oracle_hits_hold_on_fixed_set():
+    # the instances with n <= 20 among seeds 0-59 of the oracle set; the
+    # count is a floor that a change to the restarts must not lower
+    hits = scored = 0
+    for seed in range(60):
+        n = 10 + seed % 15
+        if n > 20:
+            continue
+        h = with_degree_mu(random_instance(seed, n=n, m=4 + n // 2), CLIQUE)
+        res = ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
+        ncc = optimal_threshold(res.x, h, CLIQUE).ncc
+        h2, _ = exact_h2(h, CLIQUE)
+        scored += 1
+        hits += abs(ncc - h2) <= 1e-9 * h2
+    assert scored == 44
+    assert hits >= 26
