@@ -1,10 +1,10 @@
 """Spectral clustering of hypergraphs with edge-dependent vertex weights.
 
 Builds symmetric submodular hyperedge cut costs from per-hyperedge vertex
-importance scores, reduces the clique-profile case to a weighted graph,
-approximates the second eigenpair of the graph 1-Laplacian with a nonlinear
-inverse power method, and thresholds the eigenvector at the NCC-optimal
-level set.
+importance scores, approximates the second eigenpair of the hypergraph
+1-Laplacian with a nonlinear inverse power method whose inner problems run
+on the clique-expansion graph, and thresholds the eigenvector at the
+NCC-optimal level set.
 """
 
 from .baselines import RwLaplacian, build_rw_laplacian, cardinality_variant

@@ -177,9 +177,11 @@ def cmd_sweep(args) -> int:
                              f"expected one of {METHODS}")
     cfg = _cfg_from_args(args)
     reports = []
-    for alpha in alphas:  # one build per alpha serves every method
+    flat = "cardinality-1lap"  # ignores the EDVWs: solved once, without alpha
+    for i, alpha in enumerate(alphas):  # one build per alpha for all methods
         solve = _prepare(args, alpha)
-        reports += [solve(method, cfg, alpha=alpha) for method in methods]
+        reports += [solve(m, cfg, alpha=None if m == flat else alpha)
+                    for m in methods if i == 0 or m != flat]
 
     rows = [{
         "dataset": args.dataset,

@@ -120,10 +120,9 @@ def run_method(h: EdvwHypergraph, labels, method: str,
 
     t1 = time.perf_counter()
     if method in ("edvw-1lap", "cardinality-1lap"):
-        graph = clique_expand(h, spec)
         if export_graph:
-            export_matrix_market(graph, export_graph)
-        eig = ipm_second_eigvec(graph, cfg)
+            export_matrix_market(clique_expand(h, spec), export_graph)
+        eig = ipm_second_eigvec(h, spec, cfg)
         x, lam = eig.x, eig.lam
         iterations, converged, restart = eig.iters, eig.converged, eig.restart_index
     else:

@@ -1,12 +1,13 @@
-"""Second eigenpair of the graph 1-Laplacian and NCC-optimal thresholding.
+"""Second eigenpair of the hypergraph 1-Laplacian and NCC-optimal thresholding.
 
 The nonlinear inverse power method (IPM) minimizes the ratio
 
-    R1(x) = TV(x) / min_c ||x - c 1||_{1, mu}
+    R1(x) = sum_e f_e(x) / min_c ||x - c 1||_{1, mu}
 
-whose minimum over non-constant x equals the Cheeger constant of the graph.
-Each outer step linearizes the denominator at the current iterate through a
-zero-sum subgradient v and solves
+whose minimum over non-constant x is the hypergraph's Cheeger constant (f_e
+the Lovász extensions; under the clique profile their sum is the total
+variation TV of the clique graph).  Each outer step linearizes the
+denominator at the current iterate through a zero-sum subgradient v and solves
 
     min { TV(u) - lam * <u, v> : ||u||_2 <= 1 }
 
@@ -20,11 +21,10 @@ one depth share a single s-t max flow.  The previous iterate is returned
 whenever the candidate does not certify descent (non-positive objective), so
 the descent contract holds regardless of rounding.
 
-Every improving step moves to the centered indicator vector of the best
-threshold cut of the inner solution.  That indicator has R1 equal to the
-cut's NCC, and the best level set of a non-constant vector has NCC at most
-its R1 (the thresholding bound of Hein & Bühler, NIPS 2010), so the snap
-keeps the descent guarantee and puts the method on exact cuts at once.
+Every improving step moves to the centered indicator of the best threshold
+cut of the inner solution (`optimal_threshold`), whose R1 (`r1_functional`)
+is the cut's NCC: at most R1 of the solution by the thresholding bound of
+Hein & Bühler (NIPS 2010), so the snap keeps descent and lands on exact cuts.
 
 After such a snap the previous iterate is usually optimal for the next inner
 problem.  TV(u) - lam * <u, v> is the Lovász extension of the set function
@@ -36,10 +36,10 @@ decides (`snapped_descent`).  A restart ends when it rules descent out; the
 prox runs only when it does not.  `MAX_OUTER_ITERS` only guards against a
 restart that the certificate does not end; none has been seen.
 
-The spectral restart starts at the 2-Laplacian eigenvector, whose first prox
-improves on its best sweep cut.  A random draw's first prox typically lands
-on the draw's best sweep cut itself, so a random restart starts at the
-centered indicator of that cut and runs the certificate before any prox.
+The spectral restart starts at the clique 2-Laplacian eigenvector, whose
+first prox improves on its best sweep cut.  A random draw's first prox
+typically lands on the draw's best sweep cut itself, so a random restart
+starts at the centered indicator of that cut and runs the certificate first.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
 from .core import (EdvwHypergraph, Partition, SubmodularWeightSpec,
-                   cut_increments, evaluate_partition, sweep_order,
-                   weighted_median, weighted_median_interval)
+                   cut_increments, evaluate_partition, r1_functional,
+                   sweep_order, weighted_median, weighted_median_interval)
 from .errors import DisconnectedGraphError, SolverConvergenceError
-from .reduction import WeightedGraph, graph_cut, graph_total_variation
+from .reduction import (WeightedGraph, clique_expand, graph_cut,
+                        graph_total_variation)
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +114,7 @@ class IpmIterate:
 
 @dataclass(frozen=True, eq=False)
 class EigResult:
-    """Approximate second eigenpair of the graph 1-Laplacian."""
+    """Approximate second eigenpair of the hypergraph 1-Laplacian."""
 
     x: np.ndarray        # final iterate of the restart, unit norm
     lam: float           # R1(x); the converged eigenvalue estimate
@@ -149,17 +150,6 @@ def median_subgradient(x, mu) -> np.ndarray:
     wz = float(mu[ties].sum())  # positive: c is one of the data values
     v[ties] = -excess * (mu[ties] / wz)
     return v
-
-
-def graph_r1(g: WeightedGraph, x) -> float:
-    """TV(x) / min_c ||x - c 1||_{1, mu} on a weighted graph."""
-    x = np.asarray(x, dtype=np.float64)
-    tv = graph_total_variation(g, x)
-    c = weighted_median(x, g.mu)
-    denom = float(g.mu @ np.abs(x - c))
-    if denom <= 0.0:
-        raise ValueError("degenerate input: x is constant")
-    return tv / denom
 
 
 def _center_normalize(x, mu):
@@ -370,6 +360,19 @@ def _best_prefix(x, mu: np.ndarray, prefix_cuts) -> np.ndarray:
     return mask
 
 
+# graph_r1 and graph_threshold_partition (and reduction.graph_cut) have no
+# caller in the package; they stay because bench/tracing.py looks them up
+def graph_r1(g: WeightedGraph, x) -> float:
+    """TV(x) / min_c ||x - c 1||_{1, mu} on a weighted graph."""
+    x = np.asarray(x, dtype=np.float64)
+    tv = graph_total_variation(g, x)
+    c = weighted_median(x, g.mu)
+    denom = float(g.mu @ np.abs(x - c))
+    if denom <= 0.0:
+        raise ValueError("degenerate input: x is constant")
+    return tv / denom
+
+
 def graph_threshold_partition(x, g: WeightedGraph) -> Partition:
     """NCC-minimizing level-set partition of x on a weighted graph."""
     eu, ev, w = g.edges
@@ -473,30 +476,38 @@ def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0) -> np.ndarray:
     return _canonical_sign(x)
 
 
-def _spectral_init(g: WeightedGraph, rng_seed: int) -> np.ndarray:
-    """Second eigenvector of the mu-normalized 2-Laplacian, mapped back."""
-    inv_sqrt_mu = 1.0 / np.sqrt(g.mu)
-    lap = (sp.diags_array(g.weighted_degrees * inv_sqrt_mu ** 2)
-           - sp.diags_array(inv_sqrt_mu) @ g.adjacency @ sp.diags_array(inv_sqrt_mu))
-    y = second_eigvec_2lap(lap, nullspace=np.sqrt(g.mu), rng_seed=rng_seed)
+def _spectral_init(h: EdvwHypergraph, spec: SubmodularWeightSpec,
+                   rng_seed: int) -> np.ndarray:
+    """Second eigenvector of the mu-normalized clique Laplacian, mapped back."""
+    members, edge_of, gamma = h.memberships
+    hk = spec.h(h.kappa)[edge_of]
+    inv_sqrt_mu = 1.0 / np.sqrt(h.mu)
+    # the clique adjacency is B H B^T less its diagonal (B the n x m gammas,
+    # H = diag(h(kappa))), so L = diag(B H T / mu) - G G^T, G = mu^-1/2 B H^1/2
+    gop = spla.aslinearoperator(sp.csr_array(
+        (np.sqrt(hk) * gamma * inv_sqrt_mu[members], members, h.offsets),
+        shape=(h.n_hyperedges, h.n_vertices)).T)
+    diag = np.bincount(members, hk * gamma * h.totals[edge_of]) / h.mu
+    lap = spla.aslinearoperator(sp.diags_array(diag)) - gop @ gop.T
+    y = second_eigvec_2lap(lap, nullspace=np.sqrt(h.mu), rng_seed=rng_seed)
     return inv_sqrt_mu * y
 
 
-def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int,
-             drawn: bool) -> EigResult:
-    mu = g.mu
+def _ipm_run(g: WeightedGraph, h: EdvwHypergraph, spec: SubmodularWeightSpec,
+             x0: np.ndarray, index: int, drawn: bool) -> EigResult:
+    mu = h.mu
     if drawn:
         # a random draw holds nothing the first prox could use: start at its
         # best sweep cut, whose NCC the thresholding bound keeps at or below
         # R1 of the draw, and let the certificate decide the first step
-        start = graph_threshold_partition(x0, g)
+        start = optimal_threshold(x0, h, spec)
         x0 = start.side_of.astype(np.float64)
     x = _center_normalize(x0, mu)
     if x is None:
         raise ValueError("initial vector is constant")
-    lam = graph_r1(g, x)
+    lam = r1_functional(h, spec, x)
     if not drawn:  # a drawn start is a cut, its own best level set
-        start = graph_threshold_partition(x, g)
+        start = optimal_threshold(x, h, spec)
     trace = [IpmIterate(lam, start.ncc)]
     converged = False
     iters = 0
@@ -515,9 +526,9 @@ def _ipm_run(g: WeightedGraph, x0: np.ndarray, index: int,
         # an improving inner solution is non-constant; the centered indicator
         # of its best level set has R1 equal to that cut's NCC, which the
         # thresholding bound keeps at or below R1 of the solution itself
-        part = graph_threshold_partition(inner.x, g)
+        part = optimal_threshold(inner.x, h, spec)
         nxt = _center_normalize(part.side_of.astype(np.float64), mu)
-        lam_next = graph_r1(g, nxt)
+        lam_next = r1_functional(h, spec, nxt)
         if lam_next > lam + 1e-10:
             logger.warning("IPM descent violated (%.3e -> %.3e); stopping",
                            lam, lam_next)
@@ -536,8 +547,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResult:
-    """Multi-restart inverse power method for the graph 1-Laplacian.
+def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
+                      cfg: IpmConfig | None = None) -> EigResult:
+    """Multi-restart inverse power method for the hypergraph 1-Laplacian.
 
     Restart 0 starts from the 2-Laplacian spectral vector, the others from
     the best sweep cut of a seeded random vector, as does restart 0 when the
@@ -549,24 +561,25 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
     usable CPU; the result does not depend on the thread count.
     """
     cfg = cfg or IpmConfig()
+    g = clique_expand(h, spec)  # for the prox and the certificate only
     ncomp, _ = connected_components(g.adjacency, directed=False)
-    if ncomp != 1:
+    if ncomp != 1:  # clique weights that underflow to 0 can split g
         raise DisconnectedGraphError(
             f"graph has {ncomp} components; the IPM needs a connected graph")
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
     inits = []  # (start vector, whether it is a random draw)
     try:
-        inits.append((_spectral_init(g, cfg.rng_seed), False))
+        inits.append((_spectral_init(h, spec, cfg.rng_seed), False))
     except SolverConvergenceError as exc:
         logger.warning("spectral initialization failed (%s); using random", exc)
     # restart i draws from seeds[i], restart 0 too when the spectral init
     # failed; a normal draw on two or more vertices is not constant
-    inits += [(np.random.default_rng(s).standard_normal(g.n_vertices), True)
+    inits += [(np.random.default_rng(s).standard_normal(h.n_vertices), True)
               for s in seeds[len(inits):]]
 
     # cached_property is not thread-safe: fill the caches before the pool
-    g.edges, g.weighted_degrees
+    g.edges, g.weighted_degrees, h.totals
     pending = queue.SimpleQueue()
     for item in enumerate(inits):
         pending.put(item)
@@ -578,7 +591,7 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
                 i, (x0, drawn) = pending.get_nowait()
             except queue.Empty:
                 return
-            outcomes[i] = _ipm_run(g, x0, i, drawn)
+            outcomes[i] = _ipm_run(g, h, spec, x0, i, drawn)
 
     # this thread is one of the workers: each extra thread keeps a malloc
     # arena as large as its max-flow buffers after the pool is gone
@@ -589,5 +602,6 @@ def ipm_second_eigvec(g: WeightedGraph, cfg: IpmConfig | None = None) -> EigResu
         for fut in helpers:
             fut.result()
 
-    return min(outcomes, key=lambda r: (r.trace[-1].threshold_ncc,
-                                        r.restart_index))
+    # a cut's NCC may differ in its last bits by side: near-ties are ties
+    best = min(r.trace[-1].threshold_ncc for r in outcomes) * (1.0 + 1e-12)
+    return next(r for r in outcomes if r.trace[-1].threshold_ncc <= best)

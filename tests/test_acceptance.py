@@ -152,8 +152,8 @@ def oracle_agreement_runs():
         h = with_degree_mu(
             random_instance(seed, n=n, m=_feasible_m(rng, n, min(n, 9))),
             CLIQUE)
-        g = clique_expand(h, CLIQUE)
-        res = ipm_second_eigvec(g, IpmConfig(rng_seed=seed, n_restarts=5))
+        res = ipm_second_eigvec(h, CLIQUE,
+                                IpmConfig(rng_seed=seed, n_restarts=5))
         part = optimal_threshold(res.x, h, CLIQUE)
         h2, _ = exact_h2(h, CLIQUE)
         runs.append({"h2": h2, "ncc": part.ncc, "result": res, "seed": seed})

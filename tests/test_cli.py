@@ -327,23 +327,25 @@ def test_sweep_rows_and_alpha_zero_equivalence(toy_news_dir, tmp_path):
                 "--alphas", "0,0.5,1", "--methods",
                 "edvw-1lap,cardinality-1lap", "--out-prefix", prefix]) == 0
     rows_json = json.loads((tmp_path / "sweep.json").read_text())
-    assert len(rows_json) == 6  # |alphas| x |methods|
+    # one edvw-1lap row per alpha, one cardinality-1lap row without alpha
+    assert [(r["method"], r["alpha"]) for r in rows_json] == [
+        ("edvw-1lap", 0.0), ("cardinality-1lap", None),
+        ("edvw-1lap", 0.5), ("edvw-1lap", 1.0)]
     with open(tmp_path / "sweep.csv") as fh:
         rows_csv = list(csv.DictReader(fh))
     assert len(rows_csv) == len(rows_json)
     for rj, rc in zip(rows_json, rows_csv):
         assert rc["method"] == rj["method"]
-        assert float(rc["alpha"]) == rj["alpha"]
+        assert rc["alpha"] == ("" if rj["alpha"] is None else str(rj["alpha"]))
         assert float(rc["ncc"]) == pytest.approx(rj["ncc"], rel=1e-15)
         assert float(rc["error"]) == pytest.approx(rj["error"], rel=1e-15)
 
     by_key = {(r["method"], r["alpha"]): r for r in rows_json}
     base = by_key[("edvw-1lap", 0.0)]
-    for alpha in (0.0, 0.5, 1.0):
-        flat = by_key[("cardinality-1lap", alpha)]
-        assert flat["ncc"] == pytest.approx(base["ncc"], rel=1e-12)
-        assert flat["error"] == pytest.approx(base["error"], rel=1e-12)
-        assert flat["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
+    flat = by_key[("cardinality-1lap", None)]
+    assert flat["ncc"] == pytest.approx(base["ncc"], rel=1e-12)
+    assert flat["error"] == pytest.approx(base["error"], rel=1e-12)
+    assert flat["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
 
 
 @pytest.fixture
@@ -377,8 +379,9 @@ def test_sweep_builds_once_per_alpha(dataset, reader_module, raw_reader,
     assert run(["sweep", "--dataset", dataset, "--data-dir", data_dir,
                 "--alphas", "0,1", "--restarts", "1",
                 "--out-prefix", tmp_path / "sweep"]) == 0
+    # cardinality-1lap does not depend on alpha and gets one row
     assert len(json.loads((tmp_path / "sweep.json").read_text())) == \
-        2 * len(METHODS)
+        2 * len(METHODS) - 1
     # one build and one read of the raw data per alpha, for all methods
     assert counts == {f"build_{dataset}_hypergraph": 2, raw_reader: 2}
 
@@ -394,18 +397,25 @@ def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):
         rows_csv = list(csv.DictReader(fh))
     keys = ["alpha", "method", "ncc", "error", "lambda", "iterations",
             "converged"]
+    flat = "cardinality-1lap"
     assert [(r["alpha"], r["method"]) for r in rows] == \
-        [(a, m) for a in (0.5, 1.5) for m in METHODS]
+        [(None if m == flat else a, m) for a in (0.5, 1.5) for m in METHODS
+         if a == 0.5 or m != flat]
     for row, row_csv in zip(rows, rows_csv, strict=True):
         out = tmp_path / "rep.json"
-        assert run(["cluster", *common, "--alpha", row["alpha"],
+        # the alpha-free row is solved on the first build; any other alpha
+        # gives the same answer
+        alpha = 1.5 if row["method"] == flat else row["alpha"]
+        assert run(["cluster", *common, "--alpha", alpha,
                     "--method", row["method"], "--out", out]) == 0
         report = json.loads(out.read_text())
         expected = {k: report[k] for k in keys}
+        if row["method"] == flat:
+            expected["alpha"] = None
         assert {k: row[k] for k in keys} == expected
         assert row["dataset"] == "newsgroups" and row["seed"] == 3
         assert {k: row_csv[k] for k in keys} == \
-            {k: str(v) for k, v in expected.items()}
+            {k: "" if v is None else str(v) for k, v in expected.items()}
 
 
 def test_sweep_mu_ones_rows_use_unit_weights(toy_news_dir, tmp_path):

@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
                       SubmodularWeightSpec, WeightedGraph, clique_expand,
                       exact_h2, ipm_second_eigvec, optimal_threshold,
-                      r1_functional, second_eigvec_2lap, with_degree_mu)
+                      r1_functional, run_method, second_eigvec_2lap,
+                      with_degree_mu)
 from hypercut.core import weighted_median
 from hypercut.errors import DisconnectedGraphError, SolverConvergenceError
 from hypercut.oracle import random_instance
@@ -166,7 +168,9 @@ def test_network_matches_loop_reference():
 # ---------------------------------------------------------------------------
 
 def test_ipm_two_vertex_path():
-    res = ipm_second_eigvec(path2(), IpmConfig(n_restarts=2))
+    # one hyperedge of two unit gammas: the clique graph is path2()
+    h = EdvwHypergraph(2, [[0, 1]], [[1.0, 1.0]], [1.0])
+    res = ipm_second_eigvec(h, CLIQUE, IpmConfig(n_restarts=2))
     target = np.array([1.0, -1.0]) / np.sqrt(2.0)
     assert np.allclose(np.abs(res.x), np.abs(target), atol=1e-12)
     assert res.lam == pytest.approx(1.0, rel=1e-12)
@@ -175,7 +179,7 @@ def test_ipm_two_vertex_path():
 
 def test_ipm_running_example_reaches_oracle(h0):
     hd = with_degree_mu(h0, CLIQUE)
-    res = ipm_second_eigvec(expanded(hd), IpmConfig())
+    res = ipm_second_eigvec(hd, CLIQUE, IpmConfig())
     part = optimal_threshold(res.x, hd, CLIQUE)
     assert part.ncc == pytest.approx(5.0 / 9.0, rel=1e-12)
 
@@ -183,8 +187,7 @@ def test_ipm_running_example_reaches_oracle(h0):
 def test_ipm_monotone_descent_and_threshold_dominance():
     for seed in range(12):
         h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
-        g = expanded(h)
-        res = ipm_second_eigvec(g, IpmConfig(rng_seed=seed))
+        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
         lams = [it.lam for it in res.trace]
         assert all(b <= a + 1e-10 for a, b in zip(lams, lams[1:]))
         for it in res.trace:
@@ -265,14 +268,13 @@ def test_cut_descent_certificate_keeps_ipm_results():
     # restart on the partition and the eigenvalue the earlier solver found
     for seed, (side, lam) in enumerate(PINNED_IPM_RESULTS):
         h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
-        g = expanded(h)
-        res = ipm_second_eigvec(g, IpmConfig(rng_seed=seed))
-        part = graph_threshold_partition(res.x, g)
+        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
+        part = optimal_threshold(res.x, h, CLIQUE)
         assert np.flatnonzero(part.side_of).tolist() == side, seed
         assert res.lam == pytest.approx(lam, rel=1e-12, abs=0.0), seed
         # the restart ends on the exact cut, as it did: the eigenvector is
         # the centered indicator of the partition
-        indicator = _center_normalize(part.side_of.astype(np.float64), g.mu)
+        indicator = _center_normalize(part.side_of.astype(np.float64), h.mu)
         assert np.array_equal(res.x, indicator), seed
 
 
@@ -297,7 +299,7 @@ def test_certificate_alone_ends_every_restart(monkeypatch):
     monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: 1)
     for seed in range(len(PINNED_IPM_RESULTS)):
         h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
-        ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
+        ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
     assert len(runs) == 5 * len(PINNED_IPM_RESULTS)
     for count, iters, converged in runs:
         assert converged and count == iters - 1
@@ -333,14 +335,15 @@ def test_random_restarts_start_at_their_draws_best_sweep_cut(monkeypatch,
         monkeypatch.setattr(hypercut.solver, "_spectral_init", failing_init)
     stuck = 0
     for seed in range(len(PINNED_IPM_RESULTS)):
-        g = expanded(with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE))
+        h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
+        g = expanded(h)
         runs.clear()
-        ipm_second_eigvec(g, IpmConfig(rng_seed=seed))
+        ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
         seeds = np.random.SeedSequence(seed).spawn(5)
         for i in range(0 if spectral_fails else 1, 5):
             count, res = runs[i]
             draw = np.random.default_rng(seeds[i]).standard_normal(g.n_vertices)
-            part = graph_threshold_partition(draw, g)
+            part = optimal_threshold(draw, h, CLIQUE)
             assert res.trace[0].lam == pytest.approx(part.ncc, rel=1e-12), (seed, i)
             start = _center_normalize(part.side_of.astype(np.float64), g.mu)
             if not snapped_descent(g, median_subgradient(start, g.mu),
@@ -351,28 +354,29 @@ def test_random_restarts_start_at_their_draws_best_sweep_cut(monkeypatch,
 
 
 def test_ipm_rejects_disconnected():
-    adj = sp.csr_array(np.array([[0.0, 1.0, 0.0, 0.0],
-                                 [1.0, 0.0, 0.0, 0.0],
-                                 [0.0, 0.0, 0.0, 1.0],
-                                 [0.0, 0.0, 1.0, 0.0]]))
-    g = WeightedGraph(4, adj, np.ones(4))
+    # the hypergraph is connected, but the clique weight of {1, 2}
+    # underflows to zero, so its expansion has two components
+    h = EdvwHypergraph(4, [[0, 1], [2, 3], [1, 2]],
+                       [[1.0, 1.0], [1.0, 1.0], [1e-200, 1e-200]],
+                       [1.0, 1.0, 1.0])
+    g = expanded(h)
+    assert g.adjacency.nnz == 4
     with pytest.raises(DisconnectedGraphError):
-        ipm_second_eigvec(g, IpmConfig())
+        ipm_second_eigvec(h, CLIQUE, IpmConfig())
 
 
 def test_eig_result_internally_consistent_and_serializable(h0):
     hd = with_degree_mu(h0, CLIQUE)
-    g = expanded(hd)
-    res = ipm_second_eigvec(g, IpmConfig())
+    res = ipm_second_eigvec(hd, CLIQUE, IpmConfig())
     assert res.lam >= 0.0
-    assert graph_r1(g, res.x) == res.lam  # lam is R1 of the iterate it took
-    assert abs(r1_functional(hd, CLIQUE, res.x) - res.lam) <= 1e-10 * res.lam
+    assert r1_functional(hd, CLIQUE, res.x) == res.lam  # R1 of the iterate
+    assert abs(graph_r1(expanded(hd), res.x) - res.lam) <= 1e-10 * res.lam
 
 
 def test_ipm_deterministic_given_seed(h0):
-    g = expanded(with_degree_mu(h0, CLIQUE))
-    a = ipm_second_eigvec(g, IpmConfig(rng_seed=42))
-    b = ipm_second_eigvec(g, IpmConfig(rng_seed=42))
+    hd = with_degree_mu(h0, CLIQUE)
+    a = ipm_second_eigvec(hd, CLIQUE, IpmConfig(rng_seed=42))
+    b = ipm_second_eigvec(hd, CLIQUE, IpmConfig(rng_seed=42))
     assert np.array_equal(a.x, b.x)
     assert a.lam == b.lam and a.restart_index == b.restart_index
 
@@ -397,7 +401,7 @@ def test_ipm_restart_pool_matches_sequential(monkeypatch):
             monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: cpus)
             helpers.append(0)
             sys.setswitchinterval(1e-6)  # interleave the restart threads often
-            results.append(ipm_second_eigvec(expanded(h), cfg))  # fresh caches
+            results.append(ipm_second_eigvec(h, CLIQUE, cfg))
     finally:
         sys.setswitchinterval(interval)
     assert helpers == [0, 3]  # the calling thread is the fourth worker
@@ -469,6 +473,54 @@ def test_second_eigvec_2lap_iterative_path_matches_dense(monkeypatch):
     monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 2)
     iterative = second_eigvec_2lap(lap, nullspace=np.ones(14))
     assert np.allclose(np.abs(dense), np.abs(iterative), atol=1e-6)
+
+
+def spectral_init_operator(h):
+    """`_spectral_init`'s vector and the operator it gives the eigensolver."""
+    seen, solve = [], hypercut.solver.second_eigvec_2lap
+
+    def recording(lap, **kwargs):
+        seen.append(lap)
+        return solve(lap, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypercut.solver, "second_eigvec_2lap", recording)
+        x = hypercut.solver._spectral_init(h, CLIQUE, 0)
+    return seen[0], x
+
+
+def test_factored_init_operator_is_the_clique_laplacian():
+    # diag(d / mu) - mu^-1/2 A mu^-1/2 of the clique graph, applied from the
+    # memberships: no n x n matrix is formed
+    for seed in range(20):
+        n = 6 + seed
+        h = with_degree_mu(random_instance(seed, n=n, m=3 + n // 2), CLIQUE)
+        g = expanded(h)
+        lap, _ = spectral_init_operator(h)
+        assert isinstance(lap, spla.LinearOperator)
+        inv = 1.0 / np.sqrt(g.mu)
+        ref = (np.diag(g.weighted_degrees / g.mu)
+               - inv[:, None] * g.adjacency.toarray() * inv[None, :])
+        got = lap @ np.eye(n)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), seed
+
+
+def test_factored_init_lobpcg_path_matches_dense_path(monkeypatch):
+    # above DENSE_CAP, LOBPCG applies the factored operator to (n, 1) blocks
+    for seed in range(3):
+        h = random_instance(seed, n=16, m=9)
+        labels = np.arange(16) % 2
+        sqrt_mu = np.sqrt(with_degree_mu(h, CLIQUE).mu)
+        runs = []
+        for cap in (hypercut.solver.DENSE_CAP, 4):
+            monkeypatch.setattr(hypercut.solver, "DENSE_CAP", cap)
+            _, x = spectral_init_operator(with_degree_mu(h, CLIQUE))
+            runs.append((sqrt_mu * x, run_method(h, labels, "edvw-1lap")))
+        (y_dense, dense), (y_iter, iterative) = runs
+        assert np.allclose(y_iter, y_dense, atol=1e-6), seed
+        assert np.array_equal(iterative.partition, dense.partition)
+        assert iterative.ncc == dense.ncc
+        assert iterative.error == dense.error
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +618,7 @@ def test_ipm_matches_oracle_on_small_instances():
     hits = 0
     for seed in range(10):
         h = with_degree_mu(random_instance(seed, n=9, m=6), CLIQUE)
-        res = ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
+        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
         # the max-flow certificate ended the restart, not MAX_OUTER_ITERS:
         # the last step added no trace entry
         assert res.converged and len(res.trace) == res.iters
@@ -586,7 +638,7 @@ def test_ipm_oracle_hits_hold_on_fixed_set():
         if n > 20:
             continue
         h = with_degree_mu(random_instance(seed, n=n, m=4 + n // 2), CLIQUE)
-        res = ipm_second_eigvec(expanded(h), IpmConfig(rng_seed=seed))
+        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
         ncc = optimal_threshold(res.x, h, CLIQUE).ncc
         h2, _ = exact_h2(h, CLIQUE)
         scored += 1
