@@ -24,7 +24,7 @@ from .errors import (DataIngestError, DisconnectedGraphError,
                      SolverConvergenceError)
 from .io import read_hypergraph, write_hypergraph
 from .oracle import exact_h2
-from .report import METHODS, run_method
+from .report import METHODS, MU_MODES, run_method
 from .solver import IpmConfig
 
 EXIT_USAGE = 2
@@ -155,7 +155,7 @@ def cmd_cluster(args) -> int:
     solve = _prepare(args, alpha)
     report = solve(args.method, _cfg_from_args(args), alpha=alpha,
                    export_graph=args.export_graph)
-    text = report.to_json(include_timings=args.timings)
+    text = report.to_json()
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out} (ncc={report.ncc:.6g}"
@@ -254,13 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help=f"EDVW exponent (--dataset only; default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--mu", choices=["degree", "ones", "keep"], default=None,
+    p.add_argument("--mu", choices=MU_MODES, default=None,
                    help="vertex weights (default: degree; file inputs with "
                         "explicit weights default to keep)")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timings in the report "
-                        "(reports are only byte-reproducible without them)")
     p.add_argument("--export-graph",
                    help="also write the clique expansion as a matrix-market file")
     _add_solver_flags(p)

@@ -74,13 +74,12 @@ class SubmodularWeightSpec:
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except OverflowError as exc:  # a Python int beyond the float range
-        raise ValueError(f"{name} must be finite: {exc}") from exc
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # strings, bools, objects: refused, not cast
+        raise ValueError(f"{name} must be numbers")
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def _as_int64_array(values, name: str) -> np.ndarray:

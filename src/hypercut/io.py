@@ -44,14 +44,14 @@ def to_json_dict(h: EdvwHypergraph) -> dict:
 
 def from_json_dict(obj: dict) -> EdvwHypergraph:
     try:
-        edges = obj["hyperedges"]
-        return EdvwHypergraph(
-            obj["n_vertices"],
-            [e["members"] for e in edges],
-            [e["gamma"] for e in edges],
-            [e["kappa"] for e in edges],
-            obj.get("mu"),
-        )
+        edges, mu = obj["hyperedges"], obj.get("mu")
+        members, gamma, kappa = ([e[k] for e in edges]
+                                 for k in ("members", "gamma", "kappa"))
+        # numpy reads a JSON true among numbers as 1: refuse it here
+        if any(type(v) is bool for vs in [*members, *gamma, kappa, mu]
+               if isinstance(vs, list) for v in vs):
+            raise ValueError("members, gamma, kappa and mu must not be booleans")
+        return EdvwHypergraph(obj["n_vertices"], members, gamma, kappa, mu)
     except (KeyError, TypeError, ValueError) as exc:
         raise HypergraphFormatError(f"bad hypergraph JSON: {exc}") from exc
 

@@ -122,6 +122,7 @@ class EigResult:
     converged: bool
     restart_index: int
     trace: tuple         # IpmIterate sequence of the restart
+    partition: Partition  # optimal_threshold(x), kept from the sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,15 +501,15 @@ def _ipm_run(g: WeightedGraph, h: EdvwHypergraph, spec: SubmodularWeightSpec,
         # a random draw holds nothing the first prox could use: start at its
         # best sweep cut, whose NCC the thresholding bound keeps at or below
         # R1 of the draw, and let the certificate decide the first step
-        start = optimal_threshold(x0, h, spec)
-        x0 = start.side_of.astype(np.float64)
+        cut = optimal_threshold(x0, h, spec)
+        x0 = cut.side_of.astype(np.float64)
     x = _center_normalize(x0, mu)
     if x is None:
         raise ValueError("initial vector is constant")
     lam = r1_functional(h, spec, x)
     if not drawn:  # a drawn start is a cut, its own best level set
-        start = optimal_threshold(x, h, spec)
-    trace = [IpmIterate(lam, start.ncc)]
+        cut = optimal_threshold(x, h, spec)
+    trace = [IpmIterate(lam, cut.ncc)]
     converged = False
     iters = 0
     for k in range(MAX_OUTER_ITERS):
@@ -534,9 +535,9 @@ def _ipm_run(g: WeightedGraph, h: EdvwHypergraph, spec: SubmodularWeightSpec,
                            lam, lam_next)
             converged = False
             break
-        x, lam = nxt, lam_next
-        trace.append(IpmIterate(lam, part.ncc))
-    return EigResult(x, lam, iters, converged, index, tuple(trace))
+        x, lam, cut = nxt, lam_next, part
+        trace.append(IpmIterate(lam, cut.ncc))
+    return EigResult(x, lam, iters, converged, index, tuple(trace), cut)
 
 
 def _usable_cpus() -> int:
@@ -554,11 +555,11 @@ def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     Restart 0 starts from the 2-Laplacian spectral vector, the others from
     the best sweep cut of a seeded random vector, as does restart 0 when the
     spectral init fails; a restart that starts on a cut runs the certificate
-    before any prox.  The restart whose final thresholded NCC is smallest
-    wins (index order breaks ties).  R1 decreases monotonically within every
-    restart, and a restart ends when the max flow split along its snapped
-    cut finds no descent.  Restarts run concurrently on up to one thread per
-    usable CPU; the result does not depend on the thread count.
+    before any prox.  The restart whose best level-set cut (`partition`)
+    has the smallest NCC wins, index order breaking ties.  R1 decreases
+    monotonically within every restart, and a restart ends when the max flow
+    split along its snapped cut finds no descent.  Restarts run concurrently
+    on up to one thread per usable CPU; the result does not depend on it.
     """
     cfg = cfg or IpmConfig()
     g = clique_expand(h, spec)  # for the prox and the certificate only
@@ -603,5 +604,5 @@ def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
             fut.result()
 
     # a cut's NCC may differ in its last bits by side: near-ties are ties
-    best = min(r.trace[-1].threshold_ncc for r in outcomes) * (1.0 + 1e-12)
-    return next(r for r in outcomes if r.trace[-1].threshold_ncc <= best)
+    best = min(r.partition.ncc for r in outcomes) * (1.0 + 1e-12)
+    return next(r for r in outcomes if r.partition.ncc <= best)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hypercut.report
 import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       build_rw_laplacian, cardinality_variant, exact_h2,
@@ -168,6 +169,24 @@ def test_report_keeps_read_only_arrays_and_serializes_lists():
     assert all(type(b) is int and b in (0, 1) for b in out["partition"])
     assert out["partition"] == [int(b) for b in report.partition]
     assert report.to_json() == json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("method", ["edvw-1lap", "cardinality-1lap"])
+@pytest.mark.parametrize("labels, mu_mode, message", [
+    (np.arange(2) % 2, "degree", "labels length"),
+    (np.arange(3), "degree", "more than two classes"),
+    (None, "nope", "unknown mu mode"),
+])
+def test_run_method_refuses_bad_input_before_any_work(monkeypatch, h0, method,
+                                                      labels, mu_mode, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(hypercut.report, "ipm_second_eigvec", no_work)
+    monkeypatch.setattr(hypercut.report, "cardinality_variant", no_work)
+    with pytest.raises(ValueError, match=message):
+        run_method(h0, labels, method, mu_mode=mu_mode)
+
 
 def test_cardinality_variant_examples(h0):
     flat = cardinality_variant(h0)

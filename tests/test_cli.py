@@ -3,6 +3,11 @@
 import csv
 import gzip
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,10 +74,22 @@ def test_cluster_running_example(h0_file, tmp_path, capsys):
     assert "timings" not in report  # deterministic by default
 
 
-def test_cluster_stdout_and_timings_flag(h0_file, capsys):
-    assert run(["cluster", "--input", h0_file, "--timings"]) == 0
+def test_cluster_stdout_and_timings_flag(h0_file, capsys, caplog):
+    # the stage seconds leave the report for one INFO record, which the CLI
+    # prints to stderr; the flag that put them in the report is gone
+    caplog.set_level(logging.INFO, logger="hypercut.report")
+    assert run(["cluster", "--input", h0_file]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report["timings"]) == {"setup_s", "solve_s", "threshold_s"}
+    assert "timings" not in report
+    [record] = [r for r in caplog.records if r.name == "hypercut.report"]
+    assert record.levelno == logging.INFO
+    stages = json.loads(record.getMessage())
+    assert stages.pop("method") == "edvw-1lap"
+    assert set(stages) == {"setup_s", "solve_s"}
+    assert all(t >= 0.0 for t in stages.values())
+    with pytest.raises(SystemExit) as exc:
+        run(["cluster", "--input", h0_file, "--timings"])
+    assert exc.value.code == 2
 
 
 def test_cluster_reports_are_byte_identical(h0_file, tmp_path):
@@ -180,6 +197,14 @@ def test_cluster_non_finite_kappa_is_data_error(tmp_path):
 def test_cluster_bad_vertex_ids_and_counts_are_data_errors(tmp_path, text):
     path = tmp_path / "bad.hg"
     path.write_text(text)
+    assert run(["cluster", "--input", path]) == 3
+
+
+def test_cluster_refuses_booleans_and_strings_in_json_weights(tmp_path):
+    # a JSON true among numbers and a numeric string would both be cast
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n_vertices": 3, "mu": None, "hyperedges": [
+        {"kappa": "2.5", "members": [0, 1, 2], "gamma": ["1.0", True, 3]}]}))
     assert run(["cluster", "--input", path]) == 3
 
 
@@ -297,6 +322,36 @@ def test_cardinality_baseline_same_on_built_file_and_dataset(toy_news_dir,
     a, b = (json.loads(p.read_text()) for p in (from_file, from_build))
     assert a["partition"] == b["partition"]
     assert a["ncc"] == b["ncc"]
+
+
+def test_cluster_reports_are_byte_identical_across_processes(toy_news_dir):
+    # hash seeds differ between the two processes: nothing in a report may
+    # depend on set or dict iteration order, and the stage seconds go to
+    # stderr, not into the report
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = {}
+    for method in ("edvw-1lap", "rw-2lap"):
+        for hash_seed in ("0", "1"):
+            path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(path))
+            runs[method, hash_seed] = subprocess.Popen(
+                [sys.executable, "-m", "hypercut", "cluster", "--dataset",
+                 "newsgroups", "--data-dir", str(toy_news_dir), "--method",
+                 method], env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE)
+    out = {key: proc.communicate(timeout=60) for key, proc in runs.items()}
+    assert [proc.returncode for proc in runs.values()] == [0] * 4
+    for method in ("edvw-1lap", "rw-2lap"):
+        (a, err_a), (b, err_b) = out[method, "0"], out[method, "1"]
+        assert json.loads(a)["method"] == method
+        assert a == b
+        for err in (err_a, err_b):
+            [line] = [ln for ln in err.decode().splitlines()
+                      if ln.startswith("INFO hypercut.report: ")]
+            stages = json.loads(line.split(": ", 1)[1])
+            assert stages["method"] == method
+            assert set(stages) == {"method", "setup_s", "solve_s"}
 
 
 def test_cluster_dataset_covertype(toy_cov_dir, tmp_path):

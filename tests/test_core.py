@@ -54,6 +54,19 @@ def test_rejects_bad_inputs():
     assert h.n_vertices == 3 and h.hyperedges[0].dtype == np.int64
 
 
+@pytest.mark.parametrize("kappa, gamma, mu", [
+    (["2.5"], [[1.0, 1.0, 1.0]], None),        # a numeric string
+    ([1.0], [[True, True, True]], None),        # booleans
+    ([1.0], [[1.0, 1.0, 1.0]], ["1", "1", "1"]),
+    ([1.0], [[1.0, 1.0, 1.0]], [2 ** 70, 1, 1]),  # objects, not numbers
+], ids=["kappa-string", "gamma-bool", "mu-string", "mu-object"])
+def test_rejects_weights_that_are_not_numbers(kappa, gamma, mu):
+    # a cast to float would take each of them as a weight; members refuse
+    # them alike
+    with pytest.raises(ValueError, match="must be numbers"):
+        EdvwHypergraph(3, [[0, 1, 2]], gamma, kappa, mu)
+
+
 def test_rejects_disconnected():
     edges, gams, kap = [[0, 1], [2, 3]], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]
     with pytest.raises(DisconnectedGraphError):

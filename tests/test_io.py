@@ -264,6 +264,18 @@ def test_bad_json(tmp_path):
         read_hypergraph(path)
 
 
+@pytest.mark.parametrize("field, values", [
+    ("members", [0, True, 2]), ("gamma", [1.0, True, 3.0]),
+    ("kappa", True), ("mu", [1.0, False, 1.0])])
+def test_json_booleans_among_numbers_refused(field, values):
+    # numpy reads [1.0, true] as [1.0, 1.0]: the reader refuses it first
+    obj = {"n_vertices": 3, "mu": None, "hyperedges": [
+        {"kappa": 2.5, "members": [0, 1, 2], "gamma": [1.0, 2.0, 3.0]}]}
+    (obj if field == "mu" else obj["hyperedges"][0])[field] = values
+    with pytest.raises(HypergraphFormatError, match="booleans"):
+        from_json_dict(obj)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(HypergraphFormatError):
         read_hypergraph(tmp_path / "absent.hg")

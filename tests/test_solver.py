@@ -276,6 +276,36 @@ def test_cut_descent_certificate_keeps_ipm_results():
         # the centered indicator of the partition
         indicator = _center_normalize(part.side_of.astype(np.float64), h.mu)
         assert np.array_equal(res.x, indicator), seed
+        assert_partition_is_the_sweep_of_x(h, res, seed)
+
+
+@pytest.fixture(scope="module")
+def oracle_set_runs():
+    """(seed, h, IPM result) on the oracle set: seeds 0-199 of
+    random_instance(seed, n=10 + seed % 15, m=4 + n // 2) under degree mu."""
+    runs = []
+    for seed in range(200):
+        n = 10 + seed % 15
+        h = with_degree_mu(random_instance(seed, n=n, m=4 + n // 2), CLIQUE)
+        runs.append((seed, h, ipm_second_eigvec(h, CLIQUE,
+                                                IpmConfig(rng_seed=seed))))
+    return runs
+
+
+def assert_partition_is_the_sweep_of_x(h, res, seed):
+    # the IPM keeps the best level-set cut of its iterate, bit for bit what
+    # a sweep of x gives, so no caller needs to sweep x again
+    swept = optimal_threshold(res.x, h, CLIQUE)
+    assert np.array_equal(res.partition.side_of, swept.side_of), seed
+    assert (res.partition.cut_weight, res.partition.vol_s,
+            res.partition.vol_sbar, res.partition.ncc) == \
+        (swept.cut_weight, swept.vol_s, swept.vol_sbar, swept.ncc), seed
+    assert res.partition.ncc == res.trace[-1].threshold_ncc, seed
+
+
+def test_eig_result_partition_is_the_sweep_of_x(oracle_set_runs):
+    for seed, h, res in oracle_set_runs:
+        assert_partition_is_the_sweep_of_x(h, res, seed)
 
 
 def test_certificate_alone_ends_every_restart(monkeypatch):
@@ -629,16 +659,13 @@ def test_ipm_matches_oracle_on_small_instances():
     assert hits >= 8
 
 
-def test_ipm_oracle_hits_hold_on_fixed_set():
+def test_ipm_oracle_hits_hold_on_fixed_set(oracle_set_runs):
     # the instances with n <= 20 among seeds 0-59 of the oracle set; the
     # count is a floor that a change to the restarts must not lower
     hits = scored = 0
-    for seed in range(60):
-        n = 10 + seed % 15
-        if n > 20:
+    for seed, h, res in oracle_set_runs[:60]:
+        if h.n_vertices > 20:
             continue
-        h = with_degree_mu(random_instance(seed, n=n, m=4 + n // 2), CLIQUE)
-        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
         ncc = optimal_threshold(res.x, h, CLIQUE).ncc
         h2, _ = exact_h2(h, CLIQUE)
         scored += 1
