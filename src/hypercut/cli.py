@@ -37,6 +37,13 @@ DEFAULT_ALPHA_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 logger = logging.getLogger(__name__)
 
 
+def _alpha(text: str) -> float:
+    """An EDVW exponent: a finite number, refused before any data is read."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"alpha must be finite, got {text}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--restarts", type=int, default=5,
@@ -168,8 +175,6 @@ def cmd_cluster(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_writable(args.out_prefix + ".csv", args.out_prefix + ".json")
-    alphas = ([float(t) for t in args.alphas.split(",")]
-              if args.alphas else list(DEFAULT_ALPHA_GRID))
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for mth in methods:
         if mth not in METHODS:
@@ -178,7 +183,7 @@ def cmd_sweep(args) -> int:
     cfg = _cfg_from_args(args)
     reports = []
     flat = "cardinality-1lap"  # ignores the EDVWs: solved once, without alpha
-    for i, alpha in enumerate(alphas):  # one build per alpha for all methods
+    for i, alpha in enumerate(args.alphas):  # one build serves all methods
         solve = _prepare(args, alpha)
         reports += [solve(m, cfg, alpha=None if m == flat else alpha)
                     for m in methods if i == 0 or m != flat]
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a hypergraph file from a dataset")
     p.add_argument("dataset", choices=sorted(datasets.DATASET_FILES))
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA,
                    help=f"EDVW exponent (default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--out", required=True,
@@ -251,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="hypergraph file (text or .json)")
     src.add_argument("--dataset", choices=sorted(datasets.DATASET_FILES))
     p.add_argument("--method", choices=METHODS, default="edvw-1lap")
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_alpha, default=None,
                    help=f"EDVW exponent (--dataset only; default {DEFAULT_ALPHA})")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--mu", choices=MU_MODES, default=None,
@@ -266,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="alpha sweep over methods, CSV + JSON out")
     p.add_argument("--dataset", choices=sorted(datasets.DATASET_FILES),
                    required=True)
-    p.add_argument("--alphas", help="comma-separated alpha grid "
-                                    "(default 0,0.25,...,2)")
+    p.add_argument("--alphas",
+                   type=lambda text: [_alpha(t) for t in text.split(",")],
+                   default=DEFAULT_ALPHA_GRID,
+                   help="comma-separated alpha grid (default 0,0.25,...,2)")
     p.add_argument("--methods", help=f"comma-separated subset of {METHODS}")
     p.add_argument("--data-dir", default="data")
     p.add_argument("--mu", choices=["degree", "ones"], default="degree")

@@ -45,9 +45,6 @@ starts at the centered indicator of that cut and runs the certificate first.
 from __future__ import annotations
 
 import logging
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -540,14 +537,6 @@ def _ipm_run(g: WeightedGraph, h: EdvwHypergraph, spec: SubmodularWeightSpec,
     return EigResult(x, lam, iters, converged, index, tuple(trace), cut)
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
-
-
 def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
                       cfg: IpmConfig | None = None) -> EigResult:
     """Multi-restart inverse power method for the hypergraph 1-Laplacian.
@@ -558,8 +547,8 @@ def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     before any prox.  The restart whose best level-set cut (`partition`)
     has the smallest NCC wins, index order breaking ties.  R1 decreases
     monotonically within every restart, and a restart ends when the max flow
-    split along its snapped cut finds no descent.  Restarts run concurrently
-    on up to one thread per usable CPU; the result does not depend on it.
+    split along its snapped cut finds no descent.  Restarts run one after
+    another, in index order, on the calling thread.
     """
     cfg = cfg or IpmConfig()
     g = clique_expand(h, spec)  # for the prox and the certificate only
@@ -579,29 +568,8 @@ def ipm_second_eigvec(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     inits += [(np.random.default_rng(s).standard_normal(h.n_vertices), True)
               for s in seeds[len(inits):]]
 
-    # cached_property is not thread-safe: fill the caches before the pool
-    g.edges, g.weighted_degrees, h.totals
-    pending = queue.SimpleQueue()
-    for item in enumerate(inits):
-        pending.put(item)
-    outcomes = [None] * len(inits)
-
-    def drain():
-        while True:
-            try:
-                i, (x0, drawn) = pending.get_nowait()
-            except queue.Empty:
-                return
-            outcomes[i] = _ipm_run(g, h, spec, x0, i, drawn)
-
-    # this thread is one of the workers: each extra thread keeps a malloc
-    # arena as large as its max-flow buffers after the pool is gone
-    workers = min(cfg.n_restarts, _usable_cpus())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for fut in helpers:
-            fut.result()
+    outcomes = [_ipm_run(g, h, spec, x0, i, drawn)
+                for i, (x0, drawn) in enumerate(inits)]
 
     # a cut's NCC may differ in its last bits by side: near-ties are ties
     best = min(r.partition.ncc for r in outcomes) * (1.0 + 1e-12)

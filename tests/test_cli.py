@@ -142,6 +142,28 @@ def test_cluster_alpha_with_input_refused_before_any_work(h0_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--dataset", "newsgroups", "--alpha", "nan"],
+    ["cluster", "--dataset", "covertype", "--alpha", "inf"],
+    ["cluster", "--dataset", "newsgroups", "--alpha=-inf"],
+    ["build", "newsgroups", "--alpha", "nan", "--out", "h.hg"],
+    ["sweep", "--dataset", "newsgroups", "--alphas", "0,nan",
+     "--out-prefix", "rows"],
+])
+def test_non_finite_alpha_refused_before_any_build(argv, monkeypatch, capsys):
+    def no_build(*args):
+        pytest.fail("a non-finite alpha reached the dataset build")
+
+    monkeypatch.setattr(hypercut.datasets, "build_newsgroups_hypergraph",
+                        no_build)
+    monkeypatch.setattr(hypercut.datasets, "build_covertype_hypergraph",
+                        no_build)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+
+
 def test_cluster_export_graph(h0_file, tmp_path):
     mtx = tmp_path / "graph.mtx"
     run(["cluster", "--input", h0_file, "--export-graph", mtx])

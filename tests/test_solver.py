@@ -1,7 +1,6 @@
 """Inverse power method, inner TV subproblem, 2-Laplacian solver, thresholding."""
 
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hypercut.solver
-from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
-                      SubmodularWeightSpec, WeightedGraph, clique_expand,
-                      exact_h2, ipm_second_eigvec, optimal_threshold,
-                      r1_functional, run_method, second_eigvec_2lap,
-                      with_degree_mu)
+from hypercut import (EdvwHypergraph, EigResult, GKind, HKind, IpmConfig,
+                      Partition, SubmodularWeightSpec, WeightedGraph,
+                      clique_expand, exact_h2, ipm_second_eigvec,
+                      optimal_threshold, r1_functional, run_method,
+                      second_eigvec_2lap, with_degree_mu)
 from hypercut.core import weighted_median
 from hypercut.errors import DisconnectedGraphError, SolverConvergenceError
 from hypercut.oracle import random_instance
@@ -326,7 +325,6 @@ def test_certificate_alone_ends_every_restart(monkeypatch):
 
     monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_inner)
     monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
-    monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: 1)
     for seed in range(len(PINNED_IPM_RESULTS)):
         h = with_degree_mu(random_instance(seed, n=10, m=6), CLIQUE)
         ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
@@ -360,7 +358,6 @@ def test_random_restarts_start_at_their_draws_best_sweep_cut(monkeypatch,
 
     monkeypatch.setattr(hypercut.solver, "inner_tv_solve", counting_inner)
     monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
-    monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: 1)
     if spectral_fails:
         monkeypatch.setattr(hypercut.solver, "_spectral_init", failing_init)
     stuck = 0
@@ -411,35 +408,37 @@ def test_ipm_deterministic_given_seed(h0):
     assert a.lam == b.lam and a.restart_index == b.restart_index
 
 
-def test_ipm_restart_pool_matches_sequential(monkeypatch):
-    # restart 1 wins and takes longer than restarts 0 and 3, so restart order
-    # and completion order differ when they run side by side
+def test_ipm_picks_lowest_index_restart_within_tie_of_best(monkeypatch):
+    # the restart of least NCC wins; NCCs within 1e-12 relative are ties,
+    # and the lowest index among them wins
+    run = hypercut.solver._ipm_run
+    h = with_degree_mu(random_instance(0, n=10, m=6), CLIQUE)
+    side = np.arange(h.n_vertices) < 5
+    for nccs in ([0.5, 0.3 * (1 + 5e-13), 0.3, 0.4], [0.3 * (1 + 2e-12), 0.3]):
+        def fixed_run(g, h, spec, x0, index, drawn):
+            ncc = nccs[index]
+            return EigResult(x0, ncc, 1, True, index, (),
+                             Partition(side, ncc, 1.0, 1.0, ncc))
+
+        monkeypatch.setattr(hypercut.solver, "_ipm_run", fixed_run)
+        res = ipm_second_eigvec(h, CLIQUE, IpmConfig(n_restarts=len(nccs)))
+        assert res.restart_index == 1 and res.partition.ncc == nccs[1], nccs
+
+    # on a real instance the result is the lowest-index recorded outcome
+    # within the tie of the least NCC
     h = with_degree_mu(random_instance(1, n=40, m=30), CLIQUE)
-    cfg = IpmConfig(n_restarts=4, rng_seed=7)
-    helpers = []
+    outcomes = []
 
-    class RecordingPool(hypercut.solver.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            helpers[-1] += 1
-            return super().submit(fn, *args, **kwargs)
+    def recording_run(*args):
+        outcomes.append(run(*args))
+        return outcomes[-1]
 
-    monkeypatch.setattr(hypercut.solver, "ThreadPoolExecutor", RecordingPool)
-    results = []
-    interval = sys.getswitchinterval()
-    try:
-        for cpus in (1, 4):
-            monkeypatch.setattr(hypercut.solver, "_usable_cpus", lambda: cpus)
-            helpers.append(0)
-            sys.setswitchinterval(1e-6)  # interleave the restart threads often
-            results.append(ipm_second_eigvec(h, CLIQUE, cfg))
-    finally:
-        sys.setswitchinterval(interval)
-    assert helpers == [0, 3]  # the calling thread is the fourth worker
-    seq, par = results
-    assert seq.restart_index == 1
-    assert np.array_equal(seq.x, par.x)
-    assert (seq.lam, seq.iters, seq.restart_index, seq.trace) == \
-        (par.lam, par.iters, par.restart_index, par.trace)
+    monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
+    res = ipm_second_eigvec(h, CLIQUE, IpmConfig(n_restarts=4, rng_seed=7))
+    best = min(r.partition.ncc for r in outcomes) * (1.0 + 1e-12)
+    assert [r.restart_index for r in outcomes] == [0, 1, 2, 3]
+    assert res is next(r for r in outcomes if r.partition.ncc <= best)
+    assert res.restart_index == 1
 
 
 # ---------------------------------------------------------------------------
