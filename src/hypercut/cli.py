@@ -1,8 +1,8 @@
 """Command-line interface: fetch, build, cluster, sweep (and a debug oracle).
 
-Exit codes: 0 success, 2 usage errors (an output path that cannot be
-written among them, refused before any work), 3 data errors, 4 solver
-failures.
+Exit codes: 0 success, 2 usage errors (bad solver flags, and outputs that
+cannot be written or would overwrite an input or another output, refused
+before any input is read or built), 3 data errors, 4 solver failures.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets
-from .core import GKind, HKind, SubmodularWeightSpec, with_degree_mu
+from .core import (GKind, HKind, SubmodularWeightSpec, _as_int64_array,
+                   with_degree_mu)
 from .errors import (DataIngestError, DisconnectedGraphError,
                      SolverConvergenceError)
 from .io import read_hypergraph, write_hypergraph
 from .oracle import exact_h2
-from .report import METHODS, MU_MODES, run_method
+from .report import METHODS, MU_MODES, _checked_labels, run_method
 from .solver import IpmConfig
 
 EXIT_USAGE = 2
@@ -66,10 +67,14 @@ def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:
     raise DataIngestError(f"unknown dataset {args.dataset!r}")
 
 
-def _check_writable(*paths) -> None:
-    """Refuse, before any work is done, an output path that cannot be written."""
-    for path in map(Path, paths):
-        if not path.parent.is_dir():
+def _check_writable(*paths, inputs=()) -> None:
+    """Refuse, before any work is done, an output path that cannot be written
+    or that resolves to one of `inputs` or to an earlier path."""
+    taken = [Path(p).resolve() for p in (*inputs, *paths)]
+    for i, path in enumerate(map(Path, paths), len(inputs)):
+        if path.resolve() in taken[:i]:
+            reason = "it is an input or another output"
+        elif not path.parent.is_dir():
             reason = f"no directory {path.parent}"
         elif path.is_dir():
             reason = "it is a directory"
@@ -100,7 +105,8 @@ def cmd_build(args) -> int:
 
 
 def _read_sidecar(path: Path, n_vertices: int) -> tuple:
-    """Labels (None when absent) and the other provenance of a `build` sidecar."""
+    """Labels and the other provenance of a `build` sidecar.  The labels (None
+    when absent) are judged by `_as_int64_array` and `_checked_labels`."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError) as exc:  # bad JSON and UTF-8 are ValueErrors
@@ -108,22 +114,18 @@ def _read_sidecar(path: Path, n_vertices: int) -> tuple:
             f"unreadable provenance sidecar {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataIngestError(f"provenance sidecar {path} is not a JSON object")
-    labels = payload.pop("labels", None)
-    if labels is None:
-        return None, payload
-    if (not isinstance(labels, list) or len(labels) != n_vertices
-            or not all(type(v) is int for v in labels)):
-        raise DataIngestError(
-            f"provenance sidecar {path}: labels must be {n_vertices} integers")
     try:
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataIngestError(
-            f"provenance sidecar {path}: label out of range") from exc
-    if np.unique(labels).size > 2:
-        raise DataIngestError(
-            f"provenance sidecar {path}: labels name more than two classes")
+        if (labels := payload.pop("labels", None)) is not None:
+            labels = _checked_labels(_as_int64_array(labels, "labels"),
+                                     n_vertices)
+    except ValueError as exc:
+        raise DataIngestError(f"provenance sidecar {path}: {exc}") from exc
     return labels, payload
+
+
+def _mu_mode(mu: str | None, h) -> str:
+    """The --mu given, else "keep" for weights other than 1, else "degree"."""
+    return mu or ("keep" if not np.all(h.mu == 1.0) else "degree")
 
 
 def _prepare(args, alpha: float | None):
@@ -136,38 +138,35 @@ def _prepare(args, alpha: float | None):
     holds give one answer.
     """
     if args.input:
-        h = read_hypergraph(args.input)
-        labels = None
-        sidecar = Path(str(args.input) + ".provenance.json")
-        provenance = {"input": str(args.input)}
-        if sidecar.exists():
+        h, labels, source = read_hypergraph(args.input), None, str(args.input)
+        provenance = {"input": source}
+        if (sidecar := Path(source + ".provenance.json")).exists():
             labels, payload = _read_sidecar(sidecar, h.n_vertices)
             provenance.update(payload)
-        mu_mode = args.mu if args.mu else ("keep" if not np.all(h.mu == 1.0)
-                                           else "degree")
-        return partial(run_method, h, labels, source=str(args.input),
-                       mu_mode=mu_mode, provenance=provenance)
-    build = _build_dataset(args, alpha)
-    return partial(run_method, build.hypergraph, build.labels,
-                   source=args.dataset, mu_mode=args.mu or "degree",
-                   provenance=build.provenance)
+    else:
+        build = _build_dataset(args, alpha)
+        h, labels, source = build.hypergraph, build.labels, args.dataset
+        provenance = build.provenance
+    return partial(run_method, h, labels, source=source,
+                   mu_mode=_mu_mode(args.mu, h), provenance=provenance)
 
 
 def cmd_cluster(args) -> int:
     if args.input and args.alpha is not None:
         raise ValueError("--alpha applies to --dataset only; a file keeps "
                          "the EDVWs of the alpha it was built at")
-    _check_writable(*[p for p in (args.out, args.export_graph) if p])
+    cfg = _cfg_from_args(args)
+    inputs = [args.input, f"{args.input}.provenance.json"] if args.input else []
+    _check_writable(*filter(None, (args.out, args.export_graph)), inputs=inputs)
     alpha = DEFAULT_ALPHA if args.dataset and args.alpha is None else args.alpha
     solve = _prepare(args, alpha)
-    report = solve(args.method, _cfg_from_args(args), alpha=alpha,
+    report = solve(args.method, cfg, alpha=alpha,
                    export_graph=args.export_graph)
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} (ncc={report.ncc:.6g}"
-              + (f", error={report.error:.6g}" if report.error is not None else "")
-              + ")")
+        error = "" if report.error is None else f", error={report.error:.6g}"
+        print(f"wrote {args.out} (ncc={report.ncc:.6g}{error})")
     else:
         print(text, end="")
     return 0
@@ -216,13 +215,12 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     h = read_hypergraph(args.input)
     spec = SubmodularWeightSpec(HKind(args.h_kind), GKind(args.g_kind))
-    if args.mu == "degree":
+    if _mu_mode(args.mu, h) == "degree":
         h = with_degree_mu(h, spec)
     h2, part = exact_h2(h, spec)
     print(json.dumps({
         "h2": h2,
-        "argmin_block_of_vertex_0": [int(v) for v in
-                                     np.flatnonzero(part.side_of == part.side_of[0])],
+        "argmin_block_of_vertex_0": part.block(part.side_of[0]).tolist(),
         "cut_weight": part.cut_weight,
         "vol_s": part.vol_s,
         "vol_sbar": part.vol_sbar,
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in HKind])
     p.add_argument("--g-kind", default="clique",
                    choices=[k.value for k in GKind])
-    p.add_argument("--mu", choices=["degree", "keep"], default="degree")
+    p.add_argument("--mu", choices=["degree", "keep"])  # default: _mu_mode
     p.set_defaults(func=cmd_oracle)
 
     return parser

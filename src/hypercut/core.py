@@ -73,9 +73,18 @@ class SubmodularWeightSpec:
         return np.minimum(x, total - x)
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
+def _asarray(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":  # strings, bools, objects: refused, not cast
+    # numpy reads [1, True] as [1, 1], so a list or tuple is scanned for bools
+    if arr.dtype == bool or isinstance(values, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError(f"{name} must be numbers, not booleans")
+    return arr
+
+
+def _as_float_array(values, name: str) -> np.ndarray:
+    arr = _asarray(values, name)
+    if arr.dtype.kind not in "iuf":  # strings and objects: refused, not cast
         raise ValueError(f"{name} must be numbers")
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -88,7 +97,7 @@ def _as_int64_array(values, name: str) -> np.ndarray:
     A plain int64 cast would truncate 2.5 to 2 and turn ids of 2**63 and more
     into an OverflowError; here both fail the round-trip comparison.
     """
-    arr = np.asarray(values)
+    arr = _asarray(values, name)
     if arr.dtype == np.int64:
         return arr
     if arr.dtype.kind not in "iufO":

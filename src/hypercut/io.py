@@ -7,12 +7,12 @@ Text format (vertex ids are 0-based integers)::
     kappa v1:gamma1 v2:gamma2 ...     (one line per hyperedge, M lines)
     mu w0 w1 ... w(N-1)               (optional vertex-weight section)
 
-Floats are written with `repr`, so files round-trip exactly: writing what
-was read gives the same bytes.  Each hyperedge line is written with one
-%-format over its members and gammas and read with one split; fields are
-separated by any whitespace `str.split` knows and parsed by Python's `int`
-and `float`, and a line that is not ``kappa v:gamma ...`` is refused naming
-its line number.  The JSON mirror carries the same fields::
+Floats are written with `repr`, so writing what was read gives the same
+bytes.  Each hyperedge line is written with one %-format and read with one
+split; fields are separated by any whitespace `str.split` knows, parsed by
+Python's `int` and `float` into arrays (the constructor judges the values,
+and only lists need its scan for booleans), and a line that is not
+``kappa v:gamma ...`` is refused naming its line number.  JSON mirrors it::
 
     {"n_vertices": N,
      "hyperedges": [{"kappa": k, "members": [...], "gamma": [...]}, ...],
@@ -47,10 +47,6 @@ def from_json_dict(obj: dict) -> EdvwHypergraph:
         edges, mu = obj["hyperedges"], obj.get("mu")
         members, gamma, kappa = ([e[k] for e in edges]
                                  for k in ("members", "gamma", "kappa"))
-        # numpy reads a JSON true among numbers as 1: refuse it here
-        if any(type(v) is bool for vs in [*members, *gamma, kappa, mu]
-               if isinstance(vs, list) for v in vs):
-            raise ValueError("members, gamma, kappa and mu must not be booleans")
         return EdvwHypergraph(obj["n_vertices"], members, gamma, kappa, mu)
     except (KeyError, TypeError, ValueError) as exc:
         raise HypergraphFormatError(f"bad hypergraph JSON: {exc}") from exc
@@ -100,8 +96,8 @@ def _parse_text(text: str) -> EdvwHypergraph:
                     or len(line.split()) != colons + 1):
                 raise ValueError("expected 'kappa v:gamma ...'")
             kappas.append(float(toks[0]))
-            edges.append(list(map(int, toks[1::3])))
-            gammas.append(list(map(float, toks[3::3])))
+            edges.append(np.array(list(map(int, toks[1::3]))))
+            gammas.append(np.array(list(map(float, toks[3::3]))))
         except ValueError as exc:
             raise HypergraphFormatError(
                 f"line {ln}: bad hyperedge entry {line!r}") from exc
@@ -114,13 +110,13 @@ def _parse_text(text: str) -> EdvwHypergraph:
         if toks[0] != "mu" or len(extra) > 1:
             raise HypergraphFormatError(f"line {ln}: unexpected trailing content")
         try:
-            mu = list(map(float, toks[1:]))
+            mu = np.array(list(map(float, toks[1:])))
         except ValueError as exc:
             raise HypergraphFormatError(
                 f"line {ln}: bad vertex-weight section") from exc
 
     try:
-        return EdvwHypergraph(n, edges, gammas, kappas, mu)
+        return EdvwHypergraph(n, edges, gammas, np.array(kappas), mu)
     except ValueError as exc:
         raise HypergraphFormatError(f"invalid hypergraph: {exc}") from exc
 

@@ -23,9 +23,10 @@ logger = logging.getLogger(__name__)
 
 
 def _checked_labels(labels, n: int) -> np.ndarray:
+    """The one labels check: an array of shape (n,) with at most two classes."""
     labels = np.asarray(labels)
-    if labels.size != n:
-        raise ValueError("labels length does not match the partition")
+    if labels.shape != (n,):
+        raise ValueError("labels length or shape does not match the partition")
     if np.unique(labels).size > 2:
         raise ValueError("labels name more than two classes")
     return labels

@@ -175,6 +175,7 @@ def test_report_keeps_read_only_arrays_and_serializes_lists():
 @pytest.mark.parametrize("labels, mu_mode, message", [
     (np.arange(2) % 2, "degree", "labels length"),
     (np.arange(3), "degree", "more than two classes"),
+    (np.array([[0], [1], [1]]), "degree", "labels length"),  # shape (n, 1)
     (None, "nope", "unknown mu mode"),
 ])
 def test_run_method_refuses_bad_input_before_any_work(monkeypatch, h0, method,

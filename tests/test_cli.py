@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hypercut.cli
 import hypercut.datasets
-from hypercut import (GKind, HKind, SubmodularWeightSpec, evaluate_partition,
-                      read_hypergraph, write_hypergraph)
+from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
+                      evaluate_partition, read_hypergraph, write_hypergraph)
 from hypercut.cli import main
 from hypercut.report import METHODS, clustering_error
 
@@ -47,6 +48,13 @@ def test_clustering_error_examples():
     assert clustering_error(ten, labels) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         clustering_error(side, [0, 1])
+
+
+def test_clustering_error_refuses_labels_of_shape_n_by_1():
+    # one label per vertex, but as a column: compared against the
+    # partition by broadcasting it would read an error below zero
+    with pytest.raises(ValueError, match="labels length or shape"):
+        clustering_error([True, False, False], np.array([[0], [1], [1]]))
 
 
 def test_clustering_error_refuses_more_than_two_classes():
@@ -162,6 +170,46 @@ def test_non_finite_alpha_refused_before_any_build(argv, monkeypatch, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "alpha must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--dataset", "newsgroups", "--restarts", "0"],
+    ["cluster", "--input", "x.hg", "--seed", "-1"],
+])
+def test_solver_flags_refused_before_any_read_or_build(argv, monkeypatch,
+                                                       capsys):
+    def no_input(*args):
+        pytest.fail("a bad solver flag reached the input")
+
+    monkeypatch.setattr(hypercut.cli, "read_hypergraph", no_input)
+    monkeypatch.setattr(hypercut.datasets, "build_newsgroups_hypergraph",
+                        no_input)
+    monkeypatch.setattr(hypercut.datasets, "build_covertype_hypergraph",
+                        no_input)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--out", "{input}"],
+    ["--export-graph", "{input}"],
+    ["--out", "{input}.provenance.json"],
+    ["--out", "{dir}/sub/../h0.hg"],
+    ["--out", "r.json", "--export-graph", "{dir}/r.json"],
+], ids=["out-input", "export-input", "out-sidecar", "out-input-respelled",
+        "out-export"])
+def test_cluster_never_overwrites_its_input(h0_file, outputs, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(h0_file.parent)
+    (h0_file.parent / "sub").mkdir()
+    sidecar = Path(f"{h0_file}.provenance.json")
+    sidecar.write_text('{"labels": [0, 1, 1]}')
+    before = h0_file.read_bytes(), sidecar.read_bytes()
+    assert run(["cluster", "--input", h0_file, *(
+        a.format(input=h0_file, dir=h0_file.parent) for a in outputs)]) == 2
+    assert "usage error: cannot write" in capsys.readouterr().err
+    assert (h0_file.read_bytes(), sidecar.read_bytes()) == before
+    assert not (h0_file.parent / "r.json").exists()
 
 
 def test_cluster_export_graph(h0_file, tmp_path):
@@ -518,6 +566,29 @@ def test_oracle_subcommand(h0_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["h2"] == pytest.approx(5.0 / 9.0, rel=1e-12)
     assert out["argmin_block_of_vertex_0"] == [0]
+
+
+def test_oracle_and_cluster_agree_on_a_file_with_weights(tmp_path, capsys):
+    # both keep the file's mu unless --mu says otherwise; with degree mu
+    # the oracle's h2 here is 2/3, not 1/2
+    path = tmp_path / "mu.hg"
+    write_hypergraph(EdvwHypergraph(
+        4, [[1, 2, 3], [0, 3], [1, 2, 3]], [[1.0] * 3, [1.0] * 2, [1.0] * 3],
+        [1.0] * 3, [2.0, 2.0, 2.0, 3.0]), path)
+    assert "mu 2.0 2.0 2.0 3.0" in path.read_text()
+    assert run(["oracle", "--input", path]) == 0
+    oracle = json.loads(capsys.readouterr().out)
+    assert run(["cluster", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["mu_mode"] == "keep"
+    assert report["ncc"] == pytest.approx(oracle["h2"], rel=1e-12)
+    assert oracle["h2"] == pytest.approx(0.5, rel=1e-12)
+    side = report["partition"]
+    assert oracle["argmin_block_of_vertex_0"] == [
+        v for v in range(4) if side[v] == side[0]]
+    assert run(["oracle", "--input", path, "--mu", "degree"]) == 0
+    assert json.loads(capsys.readouterr().out)["h2"] == pytest.approx(
+        2.0 / 3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
