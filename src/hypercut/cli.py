@@ -67,6 +67,16 @@ def _build_dataset(args, alpha: float) -> datasets.DatasetBuild:
     raise DataIngestError(f"unknown dataset {args.dataset!r}")
 
 
+def _sidecar(path) -> Path:
+    """The provenance file `build` writes beside a hypergraph file."""
+    return Path(f"{path}.provenance.json")
+
+
+def _raw_files(args) -> list:
+    """The raw files a dataset build reads, under --data-dir."""
+    return [Path(args.data_dir, f) for f, _ in datasets.DATASET_FILES[args.dataset]]
+
+
 def _check_writable(*paths, inputs=()) -> None:
     """Refuse, before any work is done, an output path that cannot be written
     or that resolves to one of `inputs` or to an earlier path."""
@@ -92,10 +102,10 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_build(args) -> int:
-    _check_writable(args.out, str(args.out) + ".provenance.json")
+    sidecar = _sidecar(args.out)
+    _check_writable(args.out, sidecar, inputs=_raw_files(args))
     build = _build_dataset(args, args.alpha)
     write_hypergraph(build.hypergraph, args.out)
-    sidecar = Path(str(args.out) + ".provenance.json")
     payload = dict(build.provenance)
     payload["labels"] = [int(v) for v in build.labels]
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -140,7 +150,7 @@ def _prepare(args, alpha: float | None):
     if args.input:
         h, labels, source = read_hypergraph(args.input), None, str(args.input)
         provenance = {"input": source}
-        if (sidecar := Path(source + ".provenance.json")).exists():
+        if (sidecar := _sidecar(source)).exists():
             labels, payload = _read_sidecar(sidecar, h.n_vertices)
             provenance.update(payload)
     else:
@@ -156,7 +166,7 @@ def cmd_cluster(args) -> int:
         raise ValueError("--alpha applies to --dataset only; a file keeps "
                          "the EDVWs of the alpha it was built at")
     cfg = _cfg_from_args(args)
-    inputs = [args.input, f"{args.input}.provenance.json"] if args.input else []
+    inputs = [args.input, _sidecar(args.input)] if args.input else _raw_files(args)
     _check_writable(*filter(None, (args.out, args.export_graph)), inputs=inputs)
     alpha = DEFAULT_ALPHA if args.dataset and args.alpha is None else args.alpha
     solve = _prepare(args, alpha)
@@ -193,7 +203,6 @@ def cmd_sweep(args) -> int:
         "method": rep.method,
         "ncc": rep.ncc,
         "error": rep.error,
-        "lambda": rep.lam,
         "iterations": rep.iterations,
         "converged": rep.converged,
         "seed": args.seed,
@@ -201,10 +210,8 @@ def cmd_sweep(args) -> int:
 
     csv_path = Path(args.out_prefix + ".csv")
     json_path = Path(args.out_prefix + ".json")
-    fieldnames = ["dataset", "alpha", "method", "ncc", "error", "lambda",
-                  "iterations", "converged", "seed"]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     json_path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")

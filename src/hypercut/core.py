@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -75,9 +76,10 @@ class SubmodularWeightSpec:
 
 def _asarray(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
-    # numpy reads [1, True] as [1, 1], so a list or tuple is scanned for bools
-    if arr.dtype == bool or isinstance(values, (list, tuple)) and any(
-            isinstance(v, (bool, np.bool_)) for v in values):
+    # numpy reads [1, True] as [1, 1]: lists, tuples, object arrays are scanned
+    items = arr.flat if arr.dtype == object else (
+        values if isinstance(values, (list, tuple)) else ())
+    if arr.dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
         raise ValueError(f"{name} must be numbers, not booleans")
     return arr
 
@@ -379,17 +381,17 @@ def cut_increments(h: EdvwHypergraph, spec: SubmodularWeightSpec,
                    rank: np.ndarray) -> np.ndarray:
     """Change of the cut cost as each membership's vertex joins S, by rank.
 
-    Vertices join S one at a time in increasing `rank`.  One lexsort orders
-    the memberships by (hyperedge, rank); segmented gamma prefix sums then
-    give every membership (e, v) the increment
-    h(kappa_e) * (g(T_e, after) - g(T_e, before)), with before/after the
-    gamma mass of e inside S just before and after v joins.  So the cut of
+    Vertices join S one at a time in increasing `rank`.  One argsort of the
+    unique keys e * n + rank orders the memberships by (hyperedge, rank);
+    segmented gamma prefix sums then give every membership (e, v) the
+    increment h(kappa_e) * (g(T_e, after) - g(T_e, before)), with before/after
+    the gamma mass of e inside S just before and after v joins.  So the cut of
     the first j + 1 vertices is the sum of the increments of ranks <= j, and
     by Abel summation sum_e f_e(x) = increments @ x[members] when rank sorts
     x decreasingly.  Returned in `h.memberships` order.
     """
     members, edge_of, gamma = h.memberships
-    order = np.lexsort((rank[members], edge_of))
+    order = np.argsort(edge_of * h.n_vertices + rank[members])
     mass = np.cumsum(gamma[order])
     base = np.zeros(h.n_hyperedges)
     base[1:] = mass[h.offsets[1:-1] - 1]
@@ -469,7 +471,7 @@ def volume(h: EdvwHypergraph, subset) -> float:
     mask = as_subset_mask(h.n_vertices, subset)
     if not mask.any():
         raise ValueError("volume of the empty set is undefined here")
-    return float(h.mu @ mask)
+    return math.fsum(h.mu[mask])
 
 
 def weighted_median(x, mu) -> float:
@@ -544,6 +546,6 @@ def evaluate_partition(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     if not mask.any() or mask.all():
         raise ValueError("both blocks of a partition must be non-empty")
     cw = cut_weight(h, spec, mask)
-    vs = float(h.mu @ mask)
-    vsb = float(h.mu @ ~mask)
+    # exactly rounded sums: no thread count, order or numbering moves them
+    vs, vsb = math.fsum(h.mu[mask]), math.fsum(h.mu[~mask])
     return Partition(mask, cw, vs, vsb, cw / min(vs, vsb))

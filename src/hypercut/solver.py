@@ -66,7 +66,7 @@ logger = logging.getLogger(__name__)
 _TINY = 1e-300
 
 #: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
-DENSE_CAP = 1500
+DENSE_CAP = 64
 
 #: LOBPCG must reach ||L x - lam x|| <= RESIDUAL_TOL * ||L||
 RESIDUAL_TOL = 1e-8

@@ -1,14 +1,16 @@
 """One table of bad values, fed through every entry point that takes them.
 
-The constructor judges hypergraph values for every caller and
-`report._checked_labels` judges labels, so the Python constructor
-(ValueError), a JSON file and a text file read by `cluster --input` (exit 3)
-and, for labels, a `build` sidecar (exit 3) must refuse each value alike.
+The constructor judges hypergraph values for every caller, lists and numpy
+object arrays alike, and `report._checked_labels` judges labels, so the
+Python constructor (ValueError), a JSON file and a text file read by
+`cluster --input` (exit 3) and, for labels, a `build` sidecar (exit 3) must
+refuse each value alike.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypercut import EdvwHypergraph
@@ -73,6 +75,20 @@ def test_base_values_pass_every_entry_point(tmp_path):
 @pytest.mark.parametrize("field, value", CASES.values(), ids=CASES)
 def test_constructor_refuses(field, value):
     f = with_bad(field, value)
+    where = "hyperedge 0" if field == "members" else field
+    with pytest.raises(ValueError, match=where):
+        EdvwHypergraph(N, f["members"], f["gamma"], f["kappa"], f["mu"])
+
+
+@pytest.mark.parametrize("field, value", CASES.values(), ids=CASES)
+def test_constructor_refuses_object_arrays(field, value):
+    # an object array keeps True as True, as a list does, so it is scanned
+    # alike; unscanned, [0, True, 2] of dtype object built as [0, 1, 2]
+    f = with_bad(field, value)
+    if field in ("members", "gamma"):
+        f[field][0] = np.array(f[field][0], dtype=object)
+    else:
+        f[field] = np.array(f[field], dtype=object)
     where = "hyperedge 0" if field == "members" else field
     with pytest.raises(ValueError, match=where):
         EdvwHypergraph(N, f["members"], f["gamma"], f["kappa"], f["mu"])

@@ -9,7 +9,8 @@ import hypercut.report
 import hypercut.solver
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       build_rw_laplacian, cardinality_variant, exact_h2,
-                      run_method, submodular_weight, with_degree_mu)
+                      run_method, second_eigvec_2lap, submodular_weight,
+                      with_degree_mu)
 from hypercut.baselines import PI_MAX_ITERS, PI_TOL
 from hypercut.datasets import BinningSpec, build_covertype_from_table
 from hypercut.oracle import random_instance
@@ -145,27 +146,34 @@ def test_rw_lobpcg_path_matches_dense_path(monkeypatch):
     for seed in range(3):
         h = random_instance(seed, n=16, m=9)
         labels = np.arange(16) % 2
-        dense = run_method(h, labels, "rw-2lap")
-        monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 4)
-        iterative = run_method(h, labels, "rw-2lap")
+        rwl = build_rw_laplacian(with_degree_mu(h, CLIQUE))
+        vectors, reports = [], []
+        for cap in (hypercut.solver.DENSE_CAP, 4):
+            monkeypatch.setattr(hypercut.solver, "DENSE_CAP", cap)
+            # the vector run_method thresholds, back from sqrt(pi) scaling
+            vectors.append(second_eigvec_2lap(
+                rwl.laplacian_operator(), nullspace=np.sqrt(rwl.pi))
+                / np.sqrt(rwl.pi))
+            reports.append(run_method(h, labels, "rw-2lap"))
         monkeypatch.undo()
+        dense, iterative = reports
         assert np.array_equal(iterative.partition, dense.partition)
         assert iterative.ncc == dense.ncc
         assert iterative.error == dense.error
-        assert np.allclose(iterative.eigenvector, dense.eigenvector, atol=1e-6)
+        assert np.allclose(vectors[1], vectors[0], atol=1e-6)
 
 
 
 def test_report_keeps_read_only_arrays_and_serializes_lists():
     h = random_instance(4, n=12, m=7)
     report = run_method(h, np.arange(12) % 2, "rw-2lap")
-    for arr in (report.eigenvector, report.partition):
-        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    arr = report.partition
+    assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0
     out = report.to_dict()
-    assert all(type(t) is float for t in out["eigenvector"])
-    assert out["eigenvector"] == report.eigenvector.tolist()
+    # the vector and its R1 and threshold stay off the report
+    assert not {"eigenvector", "lambda", "threshold"} & set(out)
     assert all(type(b) is int and b in (0, 1) for b in out["partition"])
     assert out["partition"] == [int(b) for b in report.partition]
     assert report.to_json() == json.dumps(out, indent=2, sort_keys=True) + "\n"

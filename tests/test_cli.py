@@ -17,9 +17,13 @@ import hypercut.datasets
 from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
                       evaluate_partition, read_hypergraph, write_hypergraph)
 from hypercut.cli import main
-from hypercut.report import METHODS, clustering_error
+from hypercut.datasets import (BinningSpec, CorpusSpec,
+                               build_covertype_from_table,
+                               build_newsgroups_from_documents)
+from hypercut.report import METHODS, clustering_error, run_method
 
-from _toydata import make_toy_covertype_file, make_toy_newsgroup_archive
+from _toydata import (bench_inputs, make_toy_covertype_file,
+                      make_toy_newsgroup_archive)
 
 
 @pytest.fixture
@@ -31,6 +35,11 @@ def h0_file(tmp_path, h0):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+#: what the input, the config and the partition fix, and nothing else
+REPORT_KEYS = {"alpha", "config", "converged", "error", "iterations", "method",
+               "ncc", "partition", "provenance", "restart_index", "source"}
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +86,9 @@ def test_cluster_running_example(h0_file, tmp_path, capsys):
     assert report["ncc"] == pytest.approx(5.0 / 9.0, rel=1e-12)
     assert report["error"] is None
     assert report["converged"] is True
-    assert len(report["eigenvector"]) == 3
     assert sorted(set(report["partition"])) == [0, 1]
+    # the partition fixes the report: the vector and its R1 stay off it
+    assert set(report) == REPORT_KEYS
     assert "timings" not in report  # deterministic by default
 
 
@@ -355,6 +365,26 @@ def toy_cov_dir(tmp_path):
     return d
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "{dataset}", "--out", "{raw}"],
+    ["cluster", "--dataset", "{dataset}", "--out", "{raw}"],
+    ["cluster", "--dataset", "{dataset}", "--export-graph", "{raw}"],
+], ids=["build-out", "cluster-out", "cluster-export"])
+@pytest.mark.parametrize("dataset", ["newsgroups", "covertype"])
+def test_dataset_commands_never_overwrite_the_raw_data(argv, dataset, request,
+                                                       capsys):
+    data_dir = request.getfixturevalue(
+        "toy_news_dir" if dataset == "newsgroups" else "toy_cov_dir")
+    [(name, _)] = hypercut.datasets.DATASET_FILES[dataset]
+    raw = data_dir / name
+    before = raw.read_bytes()
+    assert run([*(a.format(dataset=dataset, raw=raw) for a in argv),
+                "--data-dir", data_dir]) == 2
+    assert f"usage error: cannot write {raw}" in capsys.readouterr().err
+    assert raw.read_bytes() == before
+    assert sorted(p.name for p in data_dir.iterdir()) == [name]
+
+
 def test_build_writes_hypergraph_and_provenance(toy_news_dir, tmp_path):
     out = tmp_path / "news.hg"
     assert run(["build", "newsgroups", "--alpha", "1.0",
@@ -424,6 +454,48 @@ def test_cluster_reports_are_byte_identical_across_processes(toy_news_dir):
             assert set(stages) == {"method", "setup_s", "solve_s"}
 
 
+def _cluster_at_blas_threads(path, methods) -> dict:
+    """`cluster --input path` stdout per (method, OPENBLAS_NUM_THREADS)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path_var = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    runs = {(method, threads): subprocess.Popen(
+        [sys.executable, "-m", "hypercut", "cluster", "--input", str(path),
+         "--method", method],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                 PYTHONPATH=os.pathsep.join(path_var)),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        for method in methods for threads in (1, 2)}
+    out = {key: proc.communicate(timeout=120)[0] for key, proc in runs.items()}
+    assert [proc.returncode for proc in runs.values()] == [0] * len(runs)
+    return out
+
+
+def test_reports_do_not_follow_the_blas_thread_count(tmp_path):
+    # on this input the spectral vector's last bits differ between one and
+    # two BLAS threads; the report keeps only what the partition fixes
+    docs, labels = bench_inputs().newsgroups_corpus(850, 1)
+    path = tmp_path / "news.hg"
+    write_hypergraph(build_newsgroups_from_documents(
+        docs, labels, CorpusSpec(), 1.0).hypergraph, path)
+    out = _cluster_at_blas_threads(path, ("rw-2lap", "edvw-1lap"))
+    for method in ("rw-2lap", "edvw-1lap"):
+        assert out[method, 1] == out[method, 2], method
+
+
+def test_ncc_does_not_follow_the_blas_thread_count(tmp_path):
+    # at n = 12 240 OpenBLAS splits a dot product over mu between threads,
+    # so volumes summed that way move the NCC of one partition by an ulp
+    table, labels = bench_inputs().covertype_table(12240, 1)
+    path = tmp_path / "covertype.hg"
+    write_hypergraph(build_covertype_from_table(
+        table, labels, BinningSpec(), 1.0).hypergraph, path)
+    out = _cluster_at_blas_threads(path, ("rw-2lap",))
+    one, two = (json.loads(out["rw-2lap", t]) for t in (1, 2))
+    assert one["partition"] == two["partition"]
+    assert one["ncc"] == two["ncc"]
+    assert out["rw-2lap", 1] == out["rw-2lap", 2]
+
+
 def test_cluster_dataset_covertype(toy_cov_dir, tmp_path):
     rep_path = tmp_path / "rep.json"
     assert run(["cluster", "--dataset", "covertype", "--alpha", "1.0",
@@ -431,7 +503,7 @@ def test_cluster_dataset_covertype(toy_cov_dir, tmp_path):
     report = json.loads(rep_path.read_text())
     # planted classes are far apart: essentially perfect recovery
     assert report["error"] <= 0.05
-    assert np.isfinite(report["ncc"]) and np.isfinite(report["lambda"])
+    assert np.isfinite(report["ncc"]) and set(report) == REPORT_KEYS
 
 
 def test_cluster_dataset_defaults_to_alpha_one(toy_cov_dir, tmp_path):
@@ -470,7 +542,12 @@ def test_sweep_rows_and_alpha_zero_equivalence(toy_news_dir, tmp_path):
     flat = by_key[("cardinality-1lap", None)]
     assert flat["ncc"] == pytest.approx(base["ncc"], rel=1e-12)
     assert flat["error"] == pytest.approx(base["error"], rel=1e-12)
-    assert flat["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
+    assert "lambda" not in flat and set(rows_csv[0]) == set(flat)
+    # at alpha = 0 the EDVWs are flat, so both methods solve one problem
+    h = hypercut.datasets.build_newsgroups_hypergraph(
+        toy_news_dir, CorpusSpec(), 0.0).hypergraph
+    assert run_method(h, None, "cardinality-1lap").lam == pytest.approx(
+        run_method(h, None, "edvw-1lap").lam, rel=1e-12)
 
 
 @pytest.fixture
@@ -520,8 +597,7 @@ def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):
     rows = json.loads((tmp_path / "sweep.json").read_text())
     with open(tmp_path / "sweep.csv") as fh:
         rows_csv = list(csv.DictReader(fh))
-    keys = ["alpha", "method", "ncc", "error", "lambda", "iterations",
-            "converged"]
+    keys = ["alpha", "method", "ncc", "error", "iterations", "converged"]
     flat = "cardinality-1lap"
     assert [(r["alpha"], r["method"]) for r in rows] == \
         [(None if m == flat else a, m) for a in (0.5, 1.5) for m in METHODS
@@ -538,6 +614,7 @@ def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):
         if row["method"] == flat:
             expected["alpha"] = None
         assert {k: row[k] for k in keys} == expected
+        assert set(row) == {*keys, "dataset", "seed"} == set(row_csv)
         assert row["dataset"] == "newsgroups" and row["seed"] == 3
         assert {k: row_csv[k] for k in keys} == \
             {k: "" if v is None else str(v) for k, v in expected.items()}
