@@ -68,6 +68,10 @@ class RwLaplacian:
         return spla.LinearOperator((n, n), matvec=apply, rmatvec=apply,
                                    matmat=apply, rmatmat=apply, dtype=np.float64)
 
+    def laplacian_diagonal(self) -> np.ndarray:
+        """1 - P_vv, the diagonal of `laplacian_operator`, from the factors."""
+        return 1.0 - (self.p_ve * self.p_ev.T).sum(axis=1)
+
 
 def build_rw_laplacian(h: EdvwHypergraph) -> RwLaplacian:
     """Assemble the two-step walk and its stationary distribution.

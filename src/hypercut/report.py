@@ -77,7 +77,8 @@ class ClusteringReport:
         return {**out, "partition": self.partition.tolist()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":")) + "\n"
 
 
 def run_method(h: EdvwHypergraph, labels, method: str,
@@ -125,7 +126,9 @@ def run_method(h: EdvwHypergraph, labels, method: str,
     else:
         rwl = build_rw_laplacian(h)
         y = second_eigvec_2lap(rwl.laplacian_operator(),
-                               nullspace=np.sqrt(rwl.pi), rng_seed=cfg.rng_seed)
+                               nullspace=np.sqrt(rwl.pi),
+                               diagonal=rwl.laplacian_diagonal(),
+                               rng_seed=cfg.rng_seed)
         # back from the sqrt(pi)-scaled space: the row normalization of
         # two-way spectral clustering
         x = y / np.sqrt(rwl.pi)

@@ -68,11 +68,9 @@ _TINY = 1e-300
 #: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
 DENSE_CAP = 64
 
-#: LOBPCG must reach ||L x - lam x|| <= RESIDUAL_TOL * ||L||
+#: LOBPCG must reach ||L x - lam x|| <= RESIDUAL_TOL * max_i L_ii, a scale
+#: at most ||L|| for PSD L (max_i e_i^T L e_i <= lam_max)
 RESIDUAL_TOL = 1e-8
-
-#: power-iteration steps of the operator norm estimate that scales it
-_NORM_ESTIMATE_ITERS = 80
 
 #: largest capacity scipy's max flow accepts; it returns flow 0 above it
 _INT32_MAX = np.iinfo(np.int32).max
@@ -408,20 +406,6 @@ def optimal_threshold(x, h: EdvwHypergraph, spec: SubmodularWeightSpec) -> Parti
     return evaluate_partition(h, spec, _best_prefix(x, h.mu, prefix_cuts))
 
 
-def _operator_norm_estimate(lop, n: int) -> float:
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 1.0
-    for _ in range(_NORM_ESTIMATE_ITERS):
-        y = lop @ x
-        est = float(np.linalg.norm(y))
-        if est <= _TINY:
-            return _TINY
-        x = y / est
-    return est
-
-
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
     nz = np.flatnonzero(np.abs(x) > 1e-12 * max(1.0, float(np.abs(x).max())))
     if nz.size and x[nz[0]] < 0:
@@ -429,21 +413,26 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0) -> np.ndarray:
+def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
+                       rng_seed: int = 0) -> np.ndarray:
     """Eigenvector of the second-smallest eigenvalue of a symmetric PSD operator.
 
     `lap` is an ndarray, a sparse matrix or a LinearOperator whose kernel is
-    spanned by `nullspace`.  Up to DENSE_CAP vertices it is materialized and
-    solved exactly; larger problems use LOBPCG deflated against `nullspace`,
-    with the residual contract ||L x - lam x|| <= RESIDUAL_TOL * ||L||
-    verified (a violation raises SolverConvergenceError with diagnostics).
-    A numerically zero second eigenvalue signals a disconnected operator.
+    spanned by `nullspace`; a LinearOperator needs its `diagonal`.  Up to
+    DENSE_CAP vertices it is materialized and solved exactly; larger
+    problems use LOBPCG deflated against `nullspace`, then one product
+    verifies ||L x - lam x|| <= RESIDUAL_TOL * max_i L_ii (a violation
+    raises SolverConvergenceError with diagnostics).  A second eigenvalue
+    at most 1e-10 max_i L_ii signals a disconnected operator.
     """
+    if diagonal is None:
+        if isinstance(lap, spla.LinearOperator):
+            raise TypeError("pass diagonal= with a LinearOperator")
+        diagonal = lap.diagonal()
+    scale = max(float(np.max(diagonal)), _TINY)
     n = lap.shape[0]
     if n <= DENSE_CAP:
         dense = lap.toarray() if sp.issparse(lap) else lap @ np.eye(n)
-        # Gershgorin: no eigenvalue exceeds the largest absolute row sum
-        scale = max(float(np.abs(dense).sum(axis=1).max()), _TINY)
         evals, evecs = sla.eigh(dense, subset_by_index=[0, 1],
                                 overwrite_a=True)
         if evals[1] <= 1e-10 * scale:
@@ -452,23 +441,22 @@ def second_eigvec_2lap(lap, *, nullspace, rng_seed: int = 0) -> np.ndarray:
         return _canonical_sign(evecs[:, 1])
 
     lop = spla.aslinearoperator(lap)
-    norm_est = max(_operator_norm_estimate(lop, n), _TINY)
     y = np.asarray(nullspace, dtype=np.float64).reshape(n, 1)
     y = y / np.linalg.norm(y)
     rng = np.random.default_rng(rng_seed)
     x0 = rng.standard_normal((n, 1))
     evals, evecs = spla.lobpcg(lop, x0, Y=y, largest=False,
-                               tol=1e-10 * norm_est, maxiter=2000)
+                               tol=1e-10 * scale, maxiter=2000)
     lam, x = float(evals[0]), evecs[:, 0]
 
     x = x / np.linalg.norm(x)
     residual = float(np.linalg.norm(lop @ x - lam * x))
-    if residual > RESIDUAL_TOL * norm_est:
+    if residual > RESIDUAL_TOL * scale:
         raise SolverConvergenceError(
             "eigensolver missed its residual contract",
-            diagnostics={"residual": residual, "norm_estimate": norm_est,
+            diagnostics={"residual": residual, "max_diagonal": scale,
                          "eigenvalue": lam})
-    if lam <= 1e-10 * norm_est:
+    if lam <= 1e-10 * scale:
         raise DisconnectedGraphError(
             "second eigenvalue is numerically zero; operator is disconnected")
     return _canonical_sign(x)
@@ -487,7 +475,10 @@ def _spectral_init(h: EdvwHypergraph, spec: SubmodularWeightSpec,
         shape=(h.n_hyperedges, h.n_vertices)).T)
     diag = np.bincount(members, hk * gamma * h.totals[edge_of]) / h.mu
     lap = spla.aslinearoperator(sp.diags_array(diag)) - gop @ gop.T
-    y = second_eigvec_2lap(lap, nullspace=np.sqrt(h.mu), rng_seed=rng_seed)
+    # L's diagonal, the clique degree over mu: diag less G G^T's h gamma^2
+    degree = np.bincount(members, hk * gamma * (h.totals[edge_of] - gamma))
+    y = second_eigvec_2lap(lap, nullspace=np.sqrt(h.mu), diagonal=degree / h.mu,
+                           rng_seed=rng_seed)
     return inv_sqrt_mu * y
 
 

@@ -152,8 +152,8 @@ def test_rw_lobpcg_path_matches_dense_path(monkeypatch):
             monkeypatch.setattr(hypercut.solver, "DENSE_CAP", cap)
             # the vector run_method thresholds, back from sqrt(pi) scaling
             vectors.append(second_eigvec_2lap(
-                rwl.laplacian_operator(), nullspace=np.sqrt(rwl.pi))
-                / np.sqrt(rwl.pi))
+                rwl.laplacian_operator(), nullspace=np.sqrt(rwl.pi),
+                diagonal=rwl.laplacian_diagonal()) / np.sqrt(rwl.pi))
             reports.append(run_method(h, labels, "rw-2lap"))
         monkeypatch.undo()
         dense, iterative = reports
@@ -176,7 +176,8 @@ def test_report_keeps_read_only_arrays_and_serializes_lists():
     assert not {"eigenvector", "lambda", "threshold"} & set(out)
     assert all(type(b) is int and b in (0, 1) for b in out["partition"])
     assert out["partition"] == [int(b) for b in report.partition]
-    assert report.to_json() == json.dumps(out, indent=2, sort_keys=True) + "\n"
+    assert report.to_json() == json.dumps(out, sort_keys=True,
+                                          separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("method", ["edvw-1lap", "cardinality-1lap"])

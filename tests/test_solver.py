@@ -7,12 +7,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import hypercut.report
 import hypercut.solver
 from hypercut import (EdvwHypergraph, EigResult, GKind, HKind, IpmConfig,
                       Partition, SubmodularWeightSpec, WeightedGraph,
-                      clique_expand, exact_h2, ipm_second_eigvec,
-                      optimal_threshold, r1_functional, run_method,
-                      second_eigvec_2lap, with_degree_mu)
+                      build_rw_laplacian, clique_expand, exact_h2,
+                      ipm_second_eigvec, optimal_threshold, r1_functional,
+                      run_method, second_eigvec_2lap, with_degree_mu)
 from hypercut.core import weighted_median
 from hypercut.errors import DisconnectedGraphError, SolverConvergenceError
 from hypercut.oracle import random_instance
@@ -505,17 +506,17 @@ def test_second_eigvec_2lap_iterative_path_matches_dense(monkeypatch):
 
 
 def spectral_init_operator(h):
-    """`_spectral_init`'s vector and the operator it gives the eigensolver."""
+    """`_spectral_init`'s operator and diagonal for the eigensolver, its vector."""
     seen, solve = [], hypercut.solver.second_eigvec_2lap
 
     def recording(lap, **kwargs):
-        seen.append(lap)
+        seen.append((lap, kwargs["diagonal"]))
         return solve(lap, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypercut.solver, "second_eigvec_2lap", recording)
         x = hypercut.solver._spectral_init(h, CLIQUE, 0)
-    return seen[0], x
+    return (*seen[0], x)
 
 
 def test_factored_init_operator_is_the_clique_laplacian():
@@ -525,7 +526,7 @@ def test_factored_init_operator_is_the_clique_laplacian():
         n = 6 + seed
         h = with_degree_mu(random_instance(seed, n=n, m=3 + n // 2), CLIQUE)
         g = expanded(h)
-        lap, _ = spectral_init_operator(h)
+        lap, _, _ = spectral_init_operator(h)
         assert isinstance(lap, spla.LinearOperator)
         inv = 1.0 / np.sqrt(g.mu)
         ref = (np.diag(g.weighted_degrees / g.mu)
@@ -543,13 +544,79 @@ def test_factored_init_lobpcg_path_matches_dense_path(monkeypatch):
         runs = []
         for cap in (hypercut.solver.DENSE_CAP, 4):
             monkeypatch.setattr(hypercut.solver, "DENSE_CAP", cap)
-            _, x = spectral_init_operator(with_degree_mu(h, CLIQUE))
+            _, _, x = spectral_init_operator(with_degree_mu(h, CLIQUE))
             runs.append((sqrt_mu * x, run_method(h, labels, "edvw-1lap")))
         (y_dense, dense), (y_iter, iterative) = runs
         assert np.allclose(y_iter, y_dense, atol=1e-6), seed
         assert np.array_equal(iterative.partition, dense.partition)
         assert iterative.ncc == dense.ncc
         assert iterative.error == dense.error
+
+
+def eigensolver_operator(kind, h):
+    """The operator `kind` hands second_eigvec_2lap on h, and its diagonal."""
+    if kind == "rw":
+        rwl = build_rw_laplacian(h)
+        return rwl.laplacian_operator(), rwl.laplacian_diagonal()
+    lap, diagonal, _ = spectral_init_operator(h)
+    return lap, diagonal
+
+
+@pytest.mark.parametrize("kind", ["rw", "clique"])
+def test_closed_form_diagonals_match_the_operators(kind):
+    # the largest diagonal entry scales the eigensolver: it must be the
+    # operator's, and at most its top eigenvalue
+    for seed in range(10):
+        n = 6 + 3 * seed
+        h = with_degree_mu(random_instance(seed, n=n, m=3 + n // 2), CLIQUE)
+        lap, diagonal = eigensolver_operator(kind, h)
+        dense = lap @ np.eye(n)
+        assert np.allclose(diagonal, dense.diagonal(), rtol=1e-12, atol=0.0), seed
+        top = np.linalg.eigh(0.5 * (dense + dense.T))[0][-1]
+        assert diagonal.max() <= top * (1.0 + 1e-12), seed
+
+
+def test_a_linear_operator_needs_its_diagonal():
+    lap = spla.aslinearoperator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(TypeError, match="diagonal"):
+        second_eigvec_2lap(lap, nullspace=np.ones(2))
+    x = second_eigvec_2lap(lap, nullspace=np.ones(2), diagonal=np.ones(2))
+    assert np.allclose(np.abs(x), np.array([1.0, 1.0]) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("kind", ["rw", "clique"])
+def test_eigensolver_applies_the_operator_only_in_lobpcg(monkeypatch, kind):
+    # above DENSE_CAP every product but the one residual check is LOBPCG's:
+    # no power loop estimates the operator's scale
+    n = 100
+    assert n > hypercut.solver.DENSE_CAP
+    h = random_instance(3, n=n, m=60)
+    calls, inside = [], []
+    lobpcg, solve = spla.lobpcg, hypercut.solver.second_eigvec_2lap
+
+    def counting_lobpcg(*args, **kwargs):
+        before = len(calls)
+        out = lobpcg(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return out
+
+    def counting_solve(lap, **kwargs):
+        def apply(x):
+            calls.append(x.shape)
+            return lap @ x
+        return solve(spla.LinearOperator(lap.shape, matvec=apply, matmat=apply,
+                                         dtype=np.float64), **kwargs)
+
+    monkeypatch.setattr(hypercut.solver.spla, "lobpcg", counting_lobpcg)
+    if kind == "rw":
+        monkeypatch.setattr(hypercut.report, "second_eigvec_2lap", counting_solve)
+        run_method(h, None, "rw-2lap")
+    else:
+        monkeypatch.setattr(hypercut.solver, "second_eigvec_2lap", counting_solve)
+        hypercut.solver._spectral_init(with_degree_mu(h, CLIQUE), CLIQUE, 0)
+    assert len(inside) == 1 and inside[0] > 0
+    assert len(calls) == inside[0] + 1
+    assert calls[-1] == (n,)  # the residual check
 
 
 # ---------------------------------------------------------------------------
