@@ -46,8 +46,8 @@ def _alpha(text: str) -> float:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--restarts", type=int, default=5,
+    p.add_argument("--seed", type=int, default=IpmConfig.rng_seed, help="RNG seed")
+    p.add_argument("--restarts", type=int, default=IpmConfig.n_restarts,
                    help="IPM restarts: the first starts at the spectral "
                         "vector, each other at the best sweep cut of a "
                         "seeded random draw")

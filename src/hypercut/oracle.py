@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (EdvwHypergraph, Partition, SubmodularWeightSpec,
-                   evaluate_partition)
+from .core import EdvwHypergraph, SubmodularWeightSpec, evaluate_partition
 
 MAX_EXACT_VERTICES = 20
 _CHUNK = 1 << 18

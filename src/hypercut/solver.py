@@ -17,9 +17,9 @@ computed exactly by parametric min cuts (Chambolle & Darbon, IJCV 2009):
 every level set {p > t} minimizes cut(S) - sum_{i in S} (y_i - t).  A
 divide and conquer splits the vertices along one such minimum cut, moves
 the weight of the cut edges into y on both sides and recurses; all pieces of
-one depth share a single s-t max flow.  The previous iterate is returned
-whenever the candidate does not certify descent (non-positive objective), so
-the descent contract holds regardless of rounding.
+one depth share a single s-t max flow.  The prox and the certificate
+(`snapped_descent`) both floor capacities and ignore descent within about
+one capacity unit per arc of their own network, so they need not agree.
 
 Every improving step moves to the centered indicator of the best threshold
 cut of the inner solution (`optimal_threshold`), whose R1 (`r1_functional`)
@@ -224,8 +224,8 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
     its weight moves into y, subtracted on the S side and added on the
     other.  Each round runs one max flow over the union of the unsettled
     pieces, without the arcs between pieces; pieces of one vertex settle at
-    once.  Capacities are scaled into int32 and floored, and a piece splits
-    only when its source side has F < 0 evaluated in floats.
+    once.  Capacities are scaled into int32 and floored, so a piece splits
+    only when F of a proper source side, in floats, is below -1 unit per arc.
     """
     n = g.n_vertices
     adj = g.adjacency
@@ -242,7 +242,8 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
         if top == 0.0:
             break                                 # F(S) = cut(S) >= 0
         scale = _INT32_MAX / top   # an arc and its reverse share a residual
-        side = _source_side(_network(indptr, indices, w, target, scale))
+        net = _network(indptr, indices, w, target, scale)
+        side = _source_side(net)
         degree = np.diff(indptr)
         head, tail = np.repeat(side, degree), side[indices]
         out = np.flatnonzero(head > tail)         # each cut edge once
@@ -250,7 +251,8 @@ def tv_prox(g: WeightedGraph, y) -> np.ndarray:
         cut = np.bincount(lp[rows], w[out], minlength=size.size)
         gain = np.bincount(lp[side], target[side], minlength=size.size)
         inside = np.bincount(lp[side], minlength=size.size)
-        split = (cut < gain) & (inside > 0) & (inside < size)
+        # a whole piece's F is rounding noise that can pass the bound
+        split = (cut - gain < -(net.nnz + 1) / scale) & (inside < size)
         if not split.any():
             break
         moving = split[lp]
@@ -307,11 +309,10 @@ def snapped_descent(g: WeightedGraph, v, lam: float) -> bool:
 def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None) -> InnerResult:
     """Minimize TV(x) - lam * <x, v> over the unit 2-norm ball.
 
-    The minimizer is p / ||p|| for the prox p of TV at lam * v (`tv_prox`).
-    The previous outer iterate is returned unchanged when p is constant (no
-    descent direction) or when the candidate does not certify descent
-    (non-positive objective), so the caller's descent contract can never be
-    violated.
+    The minimizer is p / ||p|| for the prox p of TV at lam * v (`tv_prox`);
+    its objective is -||p||, as TV(p) - <lam v, p> = -||p||^2.  When p is
+    constant (no descent beyond one capacity unit per arc, as in
+    `snapped_descent`) the previous outer iterate is returned unchanged.
     """
     n = g.n_vertices
     v = np.asarray(v, dtype=np.float64)
@@ -319,9 +320,7 @@ def inner_tv_solve(g: WeightedGraph, v, lam: float, x_prev=None) -> InnerResult:
     if lam > 0.0 and g.adjacency.nnz:
         p = tv_prox(g, lam * v)
         if p.min() < p.max():
-            x = p / np.linalg.norm(p)
-            if graph_total_variation(g, x) - lam * float(x @ v) <= 0.0:
-                return InnerResult(x, True, improved=True)
+            return InnerResult(p / np.linalg.norm(p), True, improved=True)
     return InnerResult(x_prev.copy(), True, improved=False)
 
 

@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 
 import hypercut.cli
 import hypercut.datasets
-from hypercut import (EdvwHypergraph, GKind, HKind, SubmodularWeightSpec,
-                      evaluate_partition, read_hypergraph, write_hypergraph)
+from hypercut import (EdvwHypergraph, GKind, HKind, IpmConfig,
+                      SubmodularWeightSpec, evaluate_partition,
+                      read_hypergraph, write_hypergraph)
 from hypercut.cli import main
 from hypercut.datasets import (BinningSpec, CorpusSpec,
                                build_covertype_from_table,
@@ -134,6 +136,14 @@ def test_cluster_report_self_contained(h0_file, tmp_path):
     rerun = json.loads(out2.read_text())
     assert rerun["ncc"] == report["ncc"]
     assert rerun["partition"] == report["partition"]
+
+
+def test_cluster_solver_defaults_are_ipm_config_defaults(h0_file, tmp_path):
+    # without --seed and --restarts the report echoes IpmConfig()'s values
+    out = tmp_path / "report.json"
+    assert run(["cluster", "--input", h0_file, "--out", out]) == 0
+    config, defaults = json.loads(out.read_text())["config"], asdict(IpmConfig())
+    assert {k: config[k] for k in defaults} == defaults
 
 
 def test_cluster_mu_ones_weighs_every_vertex_one(h0_file, tmp_path):

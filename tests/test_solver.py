@@ -89,6 +89,8 @@ def test_snapped_descent_ignores_descent_within_one_unit_per_arc():
         lam, v = graph_r1(g, x), median_subgradient(x, g.mu)
         assert lam == 1.0 and np.array_equal(v, [1.0, -0.5, -0.5])
         assert snapped_descent(g, v, lam) == descent
+        # the inner solve applies the same bound
+        assert inner_tv_solve(g, v, lam, x_prev=x).improved == descent
 
 
 def test_inner_objective_nonpositive_in_ipm_context():
@@ -109,9 +111,16 @@ def random_graph(rng, n: int, density: float) -> WeightedGraph:
     return WeightedGraph(n, sp.csr_array(dense + dense.T), np.ones(n))
 
 
-def test_tv_prox_level_sets_minimize_cut_functions():
-    # {p > t} minimizes cut(S) - sum_S (y - t) for every t (Chambolle &
-    # Darbon); graphs may have isolated vertices and several pieces
+def prox_cases():
+    # an edgeless piece whose targets are all rounding noise of one sign (the
+    # mean of three 0.7 rounds below 0.7), alone and after the centre of a
+    # unit star splits off; a piece that kept splitting there never settled
+    star = np.zeros((4, 4))
+    star[0, 1:] = star[1:, 0] = 1.0
+    yield "edgeless", WeightedGraph(3, sp.csr_array((3, 3)), np.ones(3)), \
+        np.array([0.7, 0.7, 0.7])
+    yield "star", WeightedGraph(4, sp.csr_array(star), np.ones(4)), \
+        np.array([10.0, -0.3, -0.3, -0.3])
     for case in range(300):
         rng = np.random.default_rng(case)
         n = int(rng.integers(2, 10))
@@ -119,10 +128,21 @@ def test_tv_prox_level_sets_minimize_cut_functions():
         y = 3.0 * rng.standard_normal(n)
         if case % 3 == 0:
             y = np.round(y)  # tied entries
+        yield case, g, y
+
+
+def test_tv_prox_level_sets_minimize_cut_functions():
+    # {p > t} minimizes cut(S) - sum_S (y - t) for every t (Chambolle &
+    # Darbon); graphs may have isolated vertices and several pieces
+    for case, g, y in prox_cases():
+        n = g.n_vertices
         p = tv_prox(g, y)
         u, v, w = g.edges
         magnitude = w.sum() + np.abs(y).sum()
         assert abs(p.sum() - y.sum()) <= 1e-12 * magnitude, case
+        # the prox identity TV(p) - <y, p> = -||p||^2
+        identity = graph_total_variation(g, p) - y @ p + p @ p
+        assert abs(identity) <= 1e-12 * magnitude, case
         subsets = np.array(list(itertools.product([False, True], repeat=n)))
         cuts = (subsets[:, u] != subsets[:, v]) @ w
         levels = np.unique(p)
@@ -211,7 +231,7 @@ def test_cut_descent_certificate_matches_enumeration():
     # the inner solve finds descent exactly when min_A cut(A) - lam * v(A)
     # over all 2^n subsets is negative, and at a snapped iterate with
     # lam = R1(x) so does the split max flow; case 198 routes flow both ways
-    # over the heaviest arc
+    # over the heaviest arc.  An improving step's objective is at most 0.
     ruled_out = 0
     split = []
     for case in range(480):
@@ -233,8 +253,11 @@ def test_cut_descent_certificate_matches_enumeration():
         f_min = ((subsets[:, u] != subsets[:, w_]) @ w
                  - lam * (subsets @ v)).min()
         magnitude = max(w.max(), np.abs(lam * v).max())
-        got = not inner_tv_solve(g, v, lam, x_prev=x).improved
+        inner = inner_tv_solve(g, v, lam, x_prev=x)
+        got = not inner.improved
         assert got == (f_min >= -1e-9 * magnitude), (case, f_min / magnitude)
+        if inner.improved:
+            assert graph_total_variation(g, inner.x) - lam * inner.x @ v <= 0.0
         ruled_out += got
         if case % 2 == 0 and case % 3 != 0:
             descent = snapped_descent(g, v, lam)
@@ -379,6 +402,20 @@ def test_random_restarts_start_at_their_draws_best_sweep_cut(monkeypatch,
                 stuck += 1
                 assert count == 0 and res.iters == 1, (seed, i)
     assert stuck > 0  # both branches are exercised
+
+
+def test_ipm_reads_no_edge_list(monkeypatch, h0):
+    # the IPM reads the clique only as max-flow networks and for its
+    # connectivity check: no step evaluates TV over the edge list
+    def refuse(g):
+        raise AssertionError("the IPM built the clique's edge list")
+
+    monkeypatch.setattr(WeightedGraph, "edges", property(refuse))
+    for seed in range(0, 200, 10):  # oracle-set instances
+        n = 10 + seed % 15
+        h = with_degree_mu(random_instance(seed, n=n, m=4 + n // 2), CLIQUE)
+        ipm_second_eigvec(h, CLIQUE, IpmConfig(rng_seed=seed))
+    run_method(h0, None, "edvw-1lap")
 
 
 def test_ipm_rejects_disconnected():
