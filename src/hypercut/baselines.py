@@ -49,9 +49,9 @@ class RwLaplacian:
     def laplacian_operator(self) -> spla.LinearOperator:
         """I - (S P S^-1 + S^-1 P^T S) / 2 with S = diag(sqrt(pi)).
 
-        Applies to a vector (n,) or a block (n, k) with two sparse products
-        per side.  The transposed factors are taken here, once per operator,
-        so no product rebuilds them.
+        Applies to a vector (n,), as the eigensolver passes, or a block
+        (n, k), with two sparse products per side.  The transposed factors
+        are taken here, once per operator, so no product rebuilds them.
         """
         n = self.n_vertices
         s = np.sqrt(self.pi)

@@ -68,9 +68,15 @@ _TINY = 1e-300
 #: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
 DENSE_CAP = 64
 
-#: LOBPCG must reach ||L x - lam x|| <= RESIDUAL_TOL * max_i L_ii, a scale
-#: at most ||L|| for PSD L (max_i e_i^T L e_i <= lam_max)
+#: the iterative eigenpair must satisfy ||L x - lam x|| <= RESIDUAL_TOL *
+#: max_i L_ii, a scale at most ||L|| for PSD L (max_i e_i^T L e_i <= lam_max)
 RESIDUAL_TOL = 1e-8
+
+#: the Lanczos basis of second_eigvec_2lap above DENSE_CAP, fixed by
+#: measurement: 16 to 32 vectors ran alike on the benchmark's operators, and
+#: 16 holds the least; the solve gives up after LANCZOS_MAX_RESTARTS fills
+LANCZOS_BASIS = 16
+LANCZOS_MAX_RESTARTS = 100
 
 #: largest capacity scipy's max flow accepts; it returns flow 0 above it
 _INT32_MAX = np.iinfo(np.int32).max
@@ -405,6 +411,43 @@ def optimal_threshold(x, h: EdvwHypergraph, spec: SubmodularWeightSpec) -> Parti
     return evaluate_partition(h, spec, _best_prefix(x, h.mu, prefix_cuts))
 
 
+def _lanczos_top(apply, x: np.ndarray, tol: float) -> np.ndarray:
+    """Unit top eigenvector of a symmetric operator, its top eigenvalue positive.
+
+    Lanczos with full reorthogonalization from x, restarted at the Ritz
+    vector whenever LANCZOS_BASIS vectors fill the basis.  It stops when
+    the Ritz residual ||B x - theta x||, which the tridiagonal projection
+    gives without a product, is at most tol * theta.  It runs on numpy's
+    BLAS, not through ARPACK: scipy's ARPACK calls scipy's own OpenBLAS,
+    whose idle threads then compete with numpy's for the cores (an
+    `rw-2lap` call at covertype n = 4 000 took 32-60 ms at two BLAS threads
+    on two cores, against 20-28 ms with scipy's pool held to one thread).
+    """
+    basis = np.empty((LANCZOS_BASIS, x.size))
+    for _ in range(LANCZOS_MAX_RESTARTS):
+        basis[0] = x / np.linalg.norm(x)
+        tri = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))
+        for j in range(LANCZOS_BASIS):
+            w = apply(basis[j])
+            for _ in range(2):  # twice is enough (Kahan, Parlett)
+                h = basis[:j + 1] @ w
+                w -= h @ basis[:j + 1]
+                tri[j, j] += h[j]
+            beta = float(np.linalg.norm(w))
+            theta, s = np.linalg.eigh(tri[:j + 1, :j + 1])
+            done = beta * abs(s[-1, -1]) <= tol * theta[-1]
+            if done or j + 1 == LANCZOS_BASIS:
+                break
+            basis[j + 1] = w / beta
+            tri[j, j + 1] = tri[j + 1, j] = beta
+        x = s[:, -1] @ basis[:j + 1]
+        if done:
+            return x / np.linalg.norm(x)
+    raise SolverConvergenceError(
+        "eigensolver did not converge",
+        diagnostics={"restarts": LANCZOS_MAX_RESTARTS, "ritz_value": theta[-1]})
+
+
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
     nz = np.flatnonzero(np.abs(x) > 1e-12 * max(1.0, float(np.abs(x).max())))
     if nz.size and x[nz[0]] < 0:
@@ -418,11 +461,18 @@ def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
 
     `lap` is an ndarray, a sparse matrix or a LinearOperator whose kernel is
     spanned by `nullspace`; a LinearOperator needs its `diagonal`.  Up to
-    DENSE_CAP vertices it is materialized and solved exactly; larger
-    problems use LOBPCG deflated against `nullspace`, then one product
-    verifies ||L x - lam x|| <= RESIDUAL_TOL * max_i L_ii (a violation
-    raises SolverConvergenceError with diagnostics).  A second eigenvalue
-    at most 1e-10 max_i L_ii signals a disconnected operator.
+    DENSE_CAP vertices it is materialized and solved exactly.  Larger
+    problems run restarted Lanczos (`_lanczos_top`) for the top eigenvector
+    of B = c (I - y y^T) - L, y the unit kernel vector: for
+    c = 2 max_i L_ii > lam_2 (lam_2 <= n / (n - 1) max_i L_ii) it is L's
+    second eigenvector, with eigenvalue c - lam_2 within a factor 2 of
+    max_i L_ii, so the relative stop 1e-10 is an absolute one in that unit
+    (on L itself, a near-disconnected operator would ask for a residual
+    below 1e-10 lam_2, under rounding).  One product then gives lam = x^T L x
+    and verifies ||L x - lam x|| <= RESIDUAL_TOL * max_i L_ii (a violation,
+    or no convergence, raises SolverConvergenceError with diagnostics).  A
+    second eigenvalue at most 1e-10 max_i L_ii signals a disconnected
+    operator.
     """
     if diagonal is None:
         if isinstance(lap, spla.LinearOperator):
@@ -440,16 +490,14 @@ def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
         return _canonical_sign(evecs[:, 1])
 
     lop = spla.aslinearoperator(lap)
-    y = np.asarray(nullspace, dtype=np.float64).reshape(n, 1)
+    y = np.asarray(nullspace, dtype=np.float64).reshape(n)
     y = y / np.linalg.norm(y)
-    rng = np.random.default_rng(rng_seed)
-    x0 = rng.standard_normal((n, 1))
-    evals, evecs = spla.lobpcg(lop, x0, Y=y, largest=False,
-                               tol=1e-10 * scale, maxiter=2000)
-    lam, x = float(evals[0]), evecs[:, 0]
-
-    x = x / np.linalg.norm(x)
-    residual = float(np.linalg.norm(lop @ x - lam * x))
+    c = 2.0 * scale
+    x = _lanczos_top(lambda v: c * (v - y * (y @ v)) - lop.matvec(v),
+                     np.random.default_rng(rng_seed).standard_normal(n), 1e-10)
+    lx = lop.matvec(x)
+    lam = float(x @ lx)
+    residual = float(np.linalg.norm(lx - lam * x))
     if residual > RESIDUAL_TOL * scale:
         raise SolverConvergenceError(
             "eigensolver missed its residual contract",

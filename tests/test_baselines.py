@@ -141,8 +141,8 @@ def test_rw_cluster_recovers_planted_split():
     assert canonical(report.partition) == argmin.canonical_key()
 
 
-def test_rw_lobpcg_path_matches_dense_path(monkeypatch):
-    # above DENSE_CAP, LOBPCG applies the factored operator to (n, 1) blocks
+def test_rw_lanczos_path_matches_dense_path(monkeypatch):
+    # above DENSE_CAP, Lanczos applies the factored operator to (n,) vectors
     for seed in range(3):
         h = random_instance(seed, n=16, m=9)
         labels = np.arange(16) % 2

@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import urllib.error
 from dataclasses import asdict
 from pathlib import Path
 
@@ -696,7 +697,12 @@ def test_fetch_digest_mismatch_exits_3(toy_news_dir):
     assert run(["fetch", "newsgroups", "--data-dir", toy_news_dir]) == 3
 
 
-def test_fetch_offline_download_exits_3(tmp_path):
-    # no raw file present and dataset hosts unreachable in the sandbox
+def test_fetch_offline_download_exits_3(monkeypatch, tmp_path):
+    # no raw file present and the download fails: an unreachable host,
+    # patched in, so the test reads the same with or without a network
+    def unreachable(url, *args, **kwargs):
+        raise urllib.error.URLError(f"{url} is unreachable")
+
+    monkeypatch.setattr(hypercut.datasets.urllib.request, "urlopen", unreachable)
     assert run(["fetch", "covertype", "--data-dir", tmp_path / "empty"]) == 3
     assert not (tmp_path / "empty" / "covtype.data.gz").exists()

@@ -1,6 +1,8 @@
 """Inverse power method, inner TV subproblem, 2-Laplacian solver, thresholding."""
 
 import itertools
+import logging
+import time
 
 import numpy as np
 import pytest
@@ -531,7 +533,7 @@ def test_second_eigvec_2lap_orthogonal_to_kernel():
 
 
 def test_second_eigvec_2lap_iterative_path_matches_dense(monkeypatch):
-    # force the LOBPCG branch with a tiny dense cap
+    # force the Lanczos branch with a tiny dense cap
     h = with_degree_mu(random_instance(2, n=14, m=8), CLIQUE)
     g = expanded(h)
     d = g.weighted_degrees
@@ -572,8 +574,8 @@ def test_factored_init_operator_is_the_clique_laplacian():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), seed
 
 
-def test_factored_init_lobpcg_path_matches_dense_path(monkeypatch):
-    # above DENSE_CAP, LOBPCG applies the factored operator to (n, 1) blocks
+def test_factored_init_lanczos_path_matches_dense_path(monkeypatch):
+    # above DENSE_CAP, Lanczos applies the factored operator to (n,) vectors
     for seed in range(3):
         h = random_instance(seed, n=16, m=9)
         labels = np.arange(16) % 2
@@ -622,18 +624,19 @@ def test_a_linear_operator_needs_its_diagonal():
 
 
 @pytest.mark.parametrize("kind", ["rw", "clique"])
-def test_eigensolver_applies_the_operator_only_in_lobpcg(monkeypatch, kind):
-    # above DENSE_CAP every product but the one residual check is LOBPCG's:
+def test_eigensolver_applies_the_operator_only_in_lanczos(monkeypatch, kind):
+    # above DENSE_CAP every product but the one residual check is Lanczos':
     # no power loop estimates the operator's scale
     n = 100
     assert n > hypercut.solver.DENSE_CAP
     h = random_instance(3, n=n, m=60)
     calls, inside = [], []
-    lobpcg, solve = spla.lobpcg, hypercut.solver.second_eigvec_2lap
+    lanczos = hypercut.solver._lanczos_top
+    solve = hypercut.solver.second_eigvec_2lap
 
-    def counting_lobpcg(*args, **kwargs):
+    def counting_lanczos(*args, **kwargs):
         before = len(calls)
-        out = lobpcg(*args, **kwargs)
+        out = lanczos(*args, **kwargs)
         inside.append(len(calls) - before)
         return out
 
@@ -644,7 +647,7 @@ def test_eigensolver_applies_the_operator_only_in_lobpcg(monkeypatch, kind):
         return solve(spla.LinearOperator(lap.shape, matvec=apply, matmat=apply,
                                          dtype=np.float64), **kwargs)
 
-    monkeypatch.setattr(hypercut.solver.spla, "lobpcg", counting_lobpcg)
+    monkeypatch.setattr(hypercut.solver, "_lanczos_top", counting_lanczos)
     if kind == "rw":
         monkeypatch.setattr(hypercut.report, "second_eigvec_2lap", counting_solve)
         run_method(h, None, "rw-2lap")
@@ -654,6 +657,73 @@ def test_eigensolver_applies_the_operator_only_in_lobpcg(monkeypatch, kind):
     assert len(inside) == 1 and inside[0] > 0
     assert len(calls) == inside[0] + 1
     assert calls[-1] == (n,)  # the residual check
+
+
+def test_lanczos_without_convergence_is_a_solver_convergence_error(
+        monkeypatch, caplog):
+    # one restart of a two-vector basis cannot converge here: rw-2lap has no
+    # fallback and raises, the IPM warns and draws restart 0 as well
+    h = random_instance(3, n=100, m=60)
+    assert h.n_vertices > hypercut.solver.DENSE_CAP
+    monkeypatch.setattr(hypercut.solver, "LANCZOS_BASIS", 2)
+    monkeypatch.setattr(hypercut.solver, "LANCZOS_MAX_RESTARTS", 1)
+    with pytest.raises(SolverConvergenceError, match="did not converge"):
+        run_method(h, None, "rw-2lap")
+
+    starts, run = [], hypercut.solver._ipm_run
+
+    def recording_run(g, h, spec, x0, index, drawn):
+        starts.append((x0, drawn))
+        return run(g, h, spec, x0, index, drawn)
+
+    monkeypatch.setattr(hypercut.solver, "_ipm_run", recording_run)
+    hd = with_degree_mu(h, CLIQUE)
+    cfg = IpmConfig(n_restarts=2, rng_seed=7)
+    with caplog.at_level(logging.WARNING, logger="hypercut.solver"):
+        ipm_second_eigvec(hd, CLIQUE, cfg)
+    assert any("spectral initialization failed" in r.getMessage()
+               for r in caplog.records)
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
+    assert len(starts) == cfg.n_restarts
+    for (x0, drawn), seed in zip(starts, seeds):
+        assert drawn
+        assert np.array_equal(
+            x0, np.random.default_rng(seed).standard_normal(h.n_vertices))
+
+
+def two_cliques(bridge: float, size: int = 100) -> sp.csr_array:
+    """Laplacian of two unit-weight cliques joined by one edge of `bridge`."""
+    block = np.ones((size, size)) - np.eye(size)
+    adj = sp.lil_array(sp.block_diag([block, block]))
+    adj[0, size] = adj[size, 0] = bridge
+    adj = sp.csr_array(adj)
+    return sp.csr_array(sp.diags_array(adj.sum(axis=1)) - adj)
+
+
+def test_lanczos_near_disconnected_cliques():
+    # lam_2 is about 2e-14 with a 1e-12 bridge, below 1e-10 * max_i L_ii,
+    # and about 2e-8 with a 1e-6 bridge, above it: the flipped operator's
+    # gap stays wide in both, so the solve neither stalls nor chases noise
+    n = 200
+    assert n > hypercut.solver.DENSE_CAP
+    start = time.perf_counter()
+    with pytest.raises(DisconnectedGraphError):
+        second_eigvec_2lap(two_cliques(1e-12), nullspace=np.ones(n))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    x = second_eigvec_2lap(two_cliques(1e-6), nullspace=np.ones(n))
+    assert time.perf_counter() - start < 1.0
+    assert np.all(x[:100] * x[0] > 0) and np.all(x[100:] * x[0] < 0)
+
+
+def test_lanczos_path_is_bit_reproducible():
+    h = with_degree_mu(random_instance(3, n=100, m=60), CLIQUE)
+    g = expanded(h)
+    lap = sp.csr_array(sp.diags_array(g.weighted_degrees) - g.adjacency)
+    for seed in (0, 5):
+        first = second_eigvec_2lap(lap, nullspace=np.ones(100), rng_seed=seed)
+        again = second_eigvec_2lap(lap, nullspace=np.ones(100), rng_seed=seed)
+        assert np.array_equal(first, again)
 
 
 # ---------------------------------------------------------------------------
