@@ -10,11 +10,11 @@ proposed method, so the two are directly comparable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import EdvwHypergraph, split_by_sizes
 from .errors import SolverConvergenceError
@@ -33,7 +33,7 @@ class RwLaplacian:
 
     The transition matrix is P = p_ve @ p_ev (vertex -> hyperedge ->
     vertex); it is never materialized, and neither is the Laplacian, which
-    is exposed only as a LinearOperator.  Products with P^T run on the CSC
+    is exposed only as a product function.  Products with P^T run on the CSC
     transposes of the factors, taken once per operator and once per build
     (for the stationary power iteration), not once per product.
     """
@@ -42,31 +42,24 @@ class RwLaplacian:
     p_ev: sp.csr_array   # m x n, rows sum to 1
     pi: np.ndarray       # stationary distribution of the composite walk
 
-    @property
-    def n_vertices(self) -> int:
-        return self.p_ve.shape[0]
+    def laplacian_operator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (I - (S P S^-1 + S^-1 P^T S) / 2) x with S = diag(sqrt(pi)).
 
-    def laplacian_operator(self) -> spla.LinearOperator:
-        """I - (S P S^-1 + S^-1 P^T S) / 2 with S = diag(sqrt(pi)).
-
-        Applies to a vector (n,), as the eigensolver passes, or a block
-        (n, k), with two sparse products per side.  The transposed factors
-        are taken here, once per operator, so no product rebuilds them.
+        Applies to a vector (n,), as the eigensolver passes, with two sparse
+        products per side.  The transposed factors are taken here, once per
+        operator, so no product rebuilds them.
         """
-        n = self.n_vertices
         s = np.sqrt(self.pi)
         inv_s = 1.0 / s
         p_ve, p_ev = self.p_ve, self.p_ev
         p_ve_t, p_ev_t = p_ve.T, p_ev.T
 
         def apply(x):
-            sc, inv = (s, inv_s) if x.ndim == 1 else (s[:, None], inv_s[:, None])
-            a = sc * (p_ve @ (p_ev @ (inv * x)))
-            b = inv * (p_ev_t @ (p_ve_t @ (sc * x)))
+            a = s * (p_ve @ (p_ev @ (inv_s * x)))
+            b = inv_s * (p_ev_t @ (p_ve_t @ (s * x)))
             return x - 0.5 * (a + b)
 
-        return spla.LinearOperator((n, n), matvec=apply, rmatvec=apply,
-                                   matmat=apply, rmatmat=apply, dtype=np.float64)
+        return apply
 
     def laplacian_diagonal(self) -> np.ndarray:
         """1 - P_vv, the diagonal of `laplacian_operator`, from the factors."""

@@ -193,9 +193,11 @@ def cmd_sweep(args) -> int:
     reports = []
     flat = "cardinality-1lap"  # ignores the EDVWs: solved once, without alpha
     for i, alpha in enumerate(args.alphas):  # one build serves all methods
-        solve = _prepare(args, alpha)
-        reports += [solve(m, cfg, alpha=None if m == flat else alpha)
-                    for m in methods if i == 0 or m != flat]
+        todo = [m for m in methods if i == 0 or m != flat]
+        if todo:  # an alpha with nothing left to solve is not built
+            solve = _prepare(args, alpha)
+            reports += [solve(m, cfg, alpha=None if m == flat else alpha)
+                        for m in todo]
 
     rows = [{
         "dataset": args.dataset,

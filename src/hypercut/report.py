@@ -126,9 +126,8 @@ def run_method(h: EdvwHypergraph, labels, method: str,
     else:
         rwl = build_rw_laplacian(h)
         y = second_eigvec_2lap(rwl.laplacian_operator(),
-                               nullspace=np.sqrt(rwl.pi),
-                               diagonal=rwl.laplacian_diagonal(),
-                               rng_seed=cfg.rng_seed)
+                               rwl.laplacian_diagonal(),
+                               nullspace=np.sqrt(rwl.pi), rng_seed=cfg.rng_seed)
         # back from the sqrt(pi)-scaled space: the row normalization of
         # two-way spectral clustering
         x = y / np.sqrt(rwl.pi)

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
@@ -65,7 +64,10 @@ logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
 
-#: second_eigvec_2lap solves exactly with dense eigh up to this many vertices
+#: second_eigvec_2lap solves exactly with dense eigh up to this many vertices;
+#: its Lanczos branch needs c = 2 max_i L_ii > lam_2, which holds for n >= 3
+#: and so above the cap (at n = 2, L = [[1, -1], [-1, 1]] has lam_2 = c and
+#: the flipped operator vanishes)
 DENSE_CAP = 64
 
 #: the iterative eigenpair must satisfy ||L x - lam x|| <= RESIDUAL_TOL *
@@ -455,16 +457,17 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
+def second_eigvec_2lap(apply, diagonal: np.ndarray, *, nullspace,
                        rng_seed: int = 0) -> np.ndarray:
     """Eigenvector of the second-smallest eigenvalue of a symmetric PSD operator.
 
-    `lap` is an ndarray, a sparse matrix or a LinearOperator whose kernel is
-    spanned by `nullspace`; a LinearOperator needs its `diagonal`.  Up to
-    DENSE_CAP vertices it is materialized and solved exactly.  Larger
-    problems run restarted Lanczos (`_lanczos_top`) for the top eigenvector
-    of B = c (I - y y^T) - L, y the unit kernel vector: for
-    c = 2 max_i L_ii > lam_2 (lam_2 <= n / (n - 1) max_i L_ii) it is L's
+    `apply` maps an (n,) vector x to L x, `diagonal` is L's diagonal and
+    `nullspace` spans L's kernel.  Up to DENSE_CAP vertices L is assembled
+    column by column and solved exactly.  Larger problems run restarted
+    Lanczos (`_lanczos_top`) for the top eigenvector of
+    B = c (I - y y^T) - L, y the unit kernel vector: for
+    c = 2 max_i L_ii > lam_2 (lam_2 <= n / (n - 1) max_i L_ii, strict for
+    n >= 3, which DENSE_CAP guarantees; at n = 2 B can vanish) it is L's
     second eigenvector, with eigenvalue c - lam_2 within a factor 2 of
     max_i L_ii, so the relative stop 1e-10 is an absolute one in that unit
     (on L itself, a near-disconnected operator would ask for a residual
@@ -474,14 +477,10 @@ def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
     second eigenvalue at most 1e-10 max_i L_ii signals a disconnected
     operator.
     """
-    if diagonal is None:
-        if isinstance(lap, spla.LinearOperator):
-            raise TypeError("pass diagonal= with a LinearOperator")
-        diagonal = lap.diagonal()
     scale = max(float(np.max(diagonal)), _TINY)
-    n = lap.shape[0]
+    n = diagonal.size
     if n <= DENSE_CAP:
-        dense = lap.toarray() if sp.issparse(lap) else lap @ np.eye(n)
+        dense = np.stack([apply(e) for e in np.eye(n)], axis=1)
         evals, evecs = sla.eigh(dense, subset_by_index=[0, 1],
                                 overwrite_a=True)
         if evals[1] <= 1e-10 * scale:
@@ -489,13 +488,12 @@ def second_eigvec_2lap(lap, *, nullspace, diagonal=None,
                 "second eigenvalue is numerically zero; operator is disconnected")
         return _canonical_sign(evecs[:, 1])
 
-    lop = spla.aslinearoperator(lap)
     y = np.asarray(nullspace, dtype=np.float64).reshape(n)
     y = y / np.linalg.norm(y)
     c = 2.0 * scale
-    x = _lanczos_top(lambda v: c * (v - y * (y @ v)) - lop.matvec(v),
+    x = _lanczos_top(lambda v: c * (v - y * (y @ v)) - apply(v),
                      np.random.default_rng(rng_seed).standard_normal(n), 1e-10)
-    lx = lop.matvec(x)
+    lx = apply(x)
     lam = float(x @ lx)
     residual = float(np.linalg.norm(lx - lam * x))
     if residual > RESIDUAL_TOL * scale:
@@ -516,16 +514,17 @@ def _spectral_init(h: EdvwHypergraph, spec: SubmodularWeightSpec,
     hk = spec.h(h.kappa)[edge_of]
     inv_sqrt_mu = 1.0 / np.sqrt(h.mu)
     # the clique adjacency is B H B^T less its diagonal (B the n x m gammas,
-    # H = diag(h(kappa))), so L = diag(B H T / mu) - G G^T, G = mu^-1/2 B H^1/2
-    gop = spla.aslinearoperator(sp.csr_array(
+    # H = diag(h(kappa))), so L = diag(B H T / mu) - G G^T, G = mu^-1/2 B H^1/2,
+    # held as its m x n transpose g
+    g = sp.csr_array(
         (np.sqrt(hk) * gamma * inv_sqrt_mu[members], members, h.offsets),
-        shape=(h.n_hyperedges, h.n_vertices)).T)
+        shape=(h.n_hyperedges, h.n_vertices))
+    g_t = g.T
     diag = np.bincount(members, hk * gamma * h.totals[edge_of]) / h.mu
-    lap = spla.aslinearoperator(sp.diags_array(diag)) - gop @ gop.T
     # L's diagonal, the clique degree over mu: diag less G G^T's h gamma^2
     degree = np.bincount(members, hk * gamma * (h.totals[edge_of] - gamma))
-    y = second_eigvec_2lap(lap, nullspace=np.sqrt(h.mu), diagonal=degree / h.mu,
-                           rng_seed=rng_seed)
+    y = second_eigvec_2lap(lambda v: diag * v - g_t @ (g @ v), degree / h.mu,
+                           nullspace=np.sqrt(h.mu), rng_seed=rng_seed)
     return inv_sqrt_mu * y
 
 

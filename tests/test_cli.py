@@ -597,6 +597,13 @@ def test_sweep_builds_once_per_alpha(dataset, reader_module, raw_reader,
         2 * len(METHODS) - 1
     # one build and one read of the raw data per alpha, for all methods
     assert counts == {f"build_{dataset}_hypergraph": 2, raw_reader: 2}
+    # an alpha with no method left to solve is not built
+    counts.clear()
+    assert run(["sweep", "--dataset", dataset, "--data-dir", data_dir,
+                "--alphas", "0,1,2", "--methods", "cardinality-1lap",
+                "--restarts", "1", "--out-prefix", tmp_path / "flat"]) == 0
+    assert len(json.loads((tmp_path / "flat.json").read_text())) == 1
+    assert counts == {f"build_{dataset}_hypergraph": 1, raw_reader: 1}
 
 
 def test_sweep_rows_equal_one_cluster_run_each(toy_news_dir, tmp_path):

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import hypercut.report
 import hypercut.solver
@@ -485,9 +484,19 @@ def test_ipm_picks_lowest_index_restart_within_tie_of_best(monkeypatch):
 # 2-Laplacian eigensolver
 # ---------------------------------------------------------------------------
 
+def product(lap):
+    """The eigensolver's inputs for a matrix: its product and its diagonal."""
+    return lap.__matmul__, lap.diagonal()
+
+
+def assembled(apply, n):
+    """The n x n matrix of a product, column by column."""
+    return np.stack([apply(e) for e in np.eye(n)], axis=1)
+
+
 def test_second_eigvec_2lap_two_path():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    x = second_eigvec_2lap(lap, nullspace=np.ones(2))
+    x = second_eigvec_2lap(*product(lap), nullspace=np.ones(2))
     assert np.allclose(np.abs(x), np.array([1.0, 1.0]) / np.sqrt(2.0))
     lam = float(x @ (lap @ x))
     assert lam == pytest.approx(2.0, rel=1e-12)
@@ -497,8 +506,9 @@ def test_second_eigvec_2lap_sparse_and_dense_inputs_agree():
     g = expanded(with_degree_mu(random_instance(3, n=12, m=8), CLIQUE))
     lap = sp.diags_array(g.weighted_degrees) - g.adjacency
     ones = np.ones(g.n_vertices)
-    assert np.array_equal(second_eigvec_2lap(lap, nullspace=ones),
-                          second_eigvec_2lap(lap.toarray(), nullspace=ones))
+    assert np.array_equal(second_eigvec_2lap(*product(lap), nullspace=ones),
+                          second_eigvec_2lap(*product(lap.toarray()),
+                                             nullspace=ones))
 
 
 def test_second_eigvec_2lap_dense_branch_matches_full_eigh():
@@ -508,19 +518,19 @@ def test_second_eigvec_2lap_dense_branch_matches_full_eigh():
         g = random_connected_graph(rng, n)
         lap = sp.diags_array(g.weighted_degrees) - g.adjacency
         full = np.linalg.eigh(lap.toarray())[1][:, 1]
-        x = second_eigvec_2lap(lap, nullspace=np.ones(n))
+        x = second_eigvec_2lap(*product(lap), nullspace=np.ones(n))
         assert abs(x @ full) >= 1.0 - 1e-12
     pieces = sp.block_diag([random_connected_graph(rng, 6).adjacency,
                             random_connected_graph(rng, 5).adjacency])
     lap = sp.diags_array(np.asarray(pieces.sum(axis=1)).ravel()) - pieces
     with pytest.raises(DisconnectedGraphError):
-        second_eigvec_2lap(lap, nullspace=np.ones(11))
+        second_eigvec_2lap(*product(lap), nullspace=np.ones(11))
 
 
 def test_second_eigvec_2lap_disconnected_raises():
     lap = np.kron(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(DisconnectedGraphError):
-        second_eigvec_2lap(lap, nullspace=np.ones(4))
+        second_eigvec_2lap(*product(lap), nullspace=np.ones(4))
 
 
 def test_second_eigvec_2lap_orthogonal_to_kernel():
@@ -528,7 +538,7 @@ def test_second_eigvec_2lap_orthogonal_to_kernel():
     g = expanded(h)
     d = g.weighted_degrees
     lap = np.diag(d) - g.adjacency.toarray()
-    x = second_eigvec_2lap(lap, nullspace=np.ones(12))
+    x = second_eigvec_2lap(*product(lap), nullspace=np.ones(12))
     assert abs(x @ np.ones(12)) <= 1e-8 * np.linalg.norm(x) * np.sqrt(12)
 
 
@@ -538,9 +548,9 @@ def test_second_eigvec_2lap_iterative_path_matches_dense(monkeypatch):
     g = expanded(h)
     d = g.weighted_degrees
     lap = sp.csr_array(sp.diags_array(d) - g.adjacency)
-    dense = second_eigvec_2lap(lap, nullspace=np.ones(14))
+    dense = second_eigvec_2lap(*product(lap), nullspace=np.ones(14))
     monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 2)
-    iterative = second_eigvec_2lap(lap, nullspace=np.ones(14))
+    iterative = second_eigvec_2lap(*product(lap), nullspace=np.ones(14))
     assert np.allclose(np.abs(dense), np.abs(iterative), atol=1e-6)
 
 
@@ -548,9 +558,9 @@ def spectral_init_operator(h):
     """`_spectral_init`'s operator and diagonal for the eigensolver, its vector."""
     seen, solve = [], hypercut.solver.second_eigvec_2lap
 
-    def recording(lap, **kwargs):
-        seen.append((lap, kwargs["diagonal"]))
-        return solve(lap, **kwargs)
+    def recording(apply, diagonal, **kwargs):
+        seen.append((apply, diagonal))
+        return solve(apply, diagonal, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypercut.solver, "second_eigvec_2lap", recording)
@@ -565,12 +575,12 @@ def test_factored_init_operator_is_the_clique_laplacian():
         n = 6 + seed
         h = with_degree_mu(random_instance(seed, n=n, m=3 + n // 2), CLIQUE)
         g = expanded(h)
-        lap, _, _ = spectral_init_operator(h)
-        assert isinstance(lap, spla.LinearOperator)
+        apply, _, _ = spectral_init_operator(h)
+        assert callable(apply)
         inv = 1.0 / np.sqrt(g.mu)
         ref = (np.diag(g.weighted_degrees / g.mu)
                - inv[:, None] * g.adjacency.toarray() * inv[None, :])
-        got = lap @ np.eye(n)
+        got = assembled(apply, n)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), seed
 
 
@@ -593,12 +603,12 @@ def test_factored_init_lanczos_path_matches_dense_path(monkeypatch):
 
 
 def eigensolver_operator(kind, h):
-    """The operator `kind` hands second_eigvec_2lap on h, and its diagonal."""
+    """The product `kind` hands second_eigvec_2lap on h, and its diagonal."""
     if kind == "rw":
         rwl = build_rw_laplacian(h)
         return rwl.laplacian_operator(), rwl.laplacian_diagonal()
-    lap, diagonal, _ = spectral_init_operator(h)
-    return lap, diagonal
+    apply, diagonal, _ = spectral_init_operator(h)
+    return apply, diagonal
 
 
 @pytest.mark.parametrize("kind", ["rw", "clique"])
@@ -608,19 +618,11 @@ def test_closed_form_diagonals_match_the_operators(kind):
     for seed in range(10):
         n = 6 + 3 * seed
         h = with_degree_mu(random_instance(seed, n=n, m=3 + n // 2), CLIQUE)
-        lap, diagonal = eigensolver_operator(kind, h)
-        dense = lap @ np.eye(n)
+        apply, diagonal = eigensolver_operator(kind, h)
+        dense = assembled(apply, n)
         assert np.allclose(diagonal, dense.diagonal(), rtol=1e-12, atol=0.0), seed
         top = np.linalg.eigh(0.5 * (dense + dense.T))[0][-1]
         assert diagonal.max() <= top * (1.0 + 1e-12), seed
-
-
-def test_a_linear_operator_needs_its_diagonal():
-    lap = spla.aslinearoperator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    with pytest.raises(TypeError, match="diagonal"):
-        second_eigvec_2lap(lap, nullspace=np.ones(2))
-    x = second_eigvec_2lap(lap, nullspace=np.ones(2), diagonal=np.ones(2))
-    assert np.allclose(np.abs(x), np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("kind", ["rw", "clique"])
@@ -640,12 +642,11 @@ def test_eigensolver_applies_the_operator_only_in_lanczos(monkeypatch, kind):
         inside.append(len(calls) - before)
         return out
 
-    def counting_solve(lap, **kwargs):
-        def apply(x):
+    def counting_solve(apply, diagonal, **kwargs):
+        def counted(x):
             calls.append(x.shape)
-            return lap @ x
-        return solve(spla.LinearOperator(lap.shape, matvec=apply, matmat=apply,
-                                         dtype=np.float64), **kwargs)
+            return apply(x)
+        return solve(counted, diagonal, **kwargs)
 
     monkeypatch.setattr(hypercut.solver, "_lanczos_top", counting_lanczos)
     if kind == "rw":
@@ -691,6 +692,26 @@ def test_lanczos_without_convergence_is_a_solver_convergence_error(
             x0, np.random.default_rng(seed).standard_normal(h.n_vertices))
 
 
+def test_lanczos_at_two_vertices_misses_the_residual_contract(monkeypatch):
+    # c = 2 max_i L_ii exceeds lam_2 only from n = 3 on: at n = 2 the flipped
+    # operator can vanish, Lanczos returns its start vector and the residual
+    # check catches it; DENSE_CAP keeps n = 2 on the dense branch
+    monkeypatch.setattr(hypercut.solver, "DENSE_CAP", 1)
+    lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(SolverConvergenceError,
+                       match="missed its residual contract") as err:
+        second_eigvec_2lap(*product(lap), nullspace=np.ones(2))
+    diagnostics = err.value.diagnostics
+    assert set(diagnostics) == {"residual", "max_diagonal", "eigenvalue"}
+    assert diagnostics["max_diagonal"] == 1.0
+    assert diagnostics["residual"] == pytest.approx(0.6666186, rel=1e-6)
+    assert diagnostics["residual"] > hypercut.solver.RESIDUAL_TOL
+    # at n = 3 the same branch meets it
+    path = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    x = second_eigvec_2lap(*product(path), nullspace=np.ones(3))
+    assert np.allclose(np.abs(x), np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
+
+
 def two_cliques(bridge: float, size: int = 100) -> sp.csr_array:
     """Laplacian of two unit-weight cliques joined by one edge of `bridge`."""
     block = np.ones((size, size)) - np.eye(size)
@@ -708,10 +729,10 @@ def test_lanczos_near_disconnected_cliques():
     assert n > hypercut.solver.DENSE_CAP
     start = time.perf_counter()
     with pytest.raises(DisconnectedGraphError):
-        second_eigvec_2lap(two_cliques(1e-12), nullspace=np.ones(n))
+        second_eigvec_2lap(*product(two_cliques(1e-12)), nullspace=np.ones(n))
     assert time.perf_counter() - start < 1.0
     start = time.perf_counter()
-    x = second_eigvec_2lap(two_cliques(1e-6), nullspace=np.ones(n))
+    x = second_eigvec_2lap(*product(two_cliques(1e-6)), nullspace=np.ones(n))
     assert time.perf_counter() - start < 1.0
     assert np.all(x[:100] * x[0] > 0) and np.all(x[100:] * x[0] < 0)
 
@@ -721,8 +742,10 @@ def test_lanczos_path_is_bit_reproducible():
     g = expanded(h)
     lap = sp.csr_array(sp.diags_array(g.weighted_degrees) - g.adjacency)
     for seed in (0, 5):
-        first = second_eigvec_2lap(lap, nullspace=np.ones(100), rng_seed=seed)
-        again = second_eigvec_2lap(lap, nullspace=np.ones(100), rng_seed=seed)
+        first = second_eigvec_2lap(*product(lap), nullspace=np.ones(100),
+                                   rng_seed=seed)
+        again = second_eigvec_2lap(*product(lap), nullspace=np.ones(100),
+                                   rng_seed=seed)
         assert np.array_equal(first, again)
 
 
